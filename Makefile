@@ -70,8 +70,11 @@ trace-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# Matrix kernels, sequential vs parallel pool, including the sketch engines'
+# orthonormalization shapes (BenchmarkKernelsQR: the 5000x26 driver QR,
+# BenchmarkKernelsGramSchmidt: one 1250x26 Spark partition basis).
 bench-kernels:
-	$(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernels
+	$(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernels -benchmem
 	$(GO) test . -run '^$$' -bench BenchmarkParallelSpeedup
 
 # Machine-readable benchmark baseline: in-place kernels, steady-state mapper

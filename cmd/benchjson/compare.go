@@ -8,6 +8,11 @@ package main
 // (default 10%, wall-clock is noisy) or its allocs/op increased at all
 // (allocation counts are deterministic, so any increase is a real change).
 // Benchmarks present in only one file are reported but never fail the gate.
+// A common benchmark recorded at a different GOMAXPROCS on each side makes
+// the whole comparison invalid: the kernels' per-op allocations and times
+// follow the worker count, so the gap would be host shape, not a change.
+// Entries from files written before GOMAXPROCS was recorded are compared as
+// before.
 
 import (
 	"encoding/json"
@@ -40,6 +45,23 @@ func loadDoc(path string) (Document, error) {
 		return Document{}, fmt.Errorf("%s: no benchmarks", path)
 	}
 	return d, nil
+}
+
+// checkProcs returns an error naming the first benchmark common to both
+// documents that was recorded at a different GOMAXPROCS on each side.
+func checkProcs(oldDoc, newDoc Document) error {
+	oldBy := make(map[string]Benchmark, len(oldDoc.Benchmarks))
+	for _, b := range oldDoc.Benchmarks {
+		oldBy[benchKey(b)] = b
+	}
+	for _, nb := range newDoc.Benchmarks {
+		ob, ok := oldBy[benchKey(nb)]
+		if ok && ob.GOMAXPROCS > 0 && nb.GOMAXPROCS > 0 && ob.GOMAXPROCS != nb.GOMAXPROCS {
+			return fmt.Errorf("GOMAXPROCS differs: %s ran at %d in the old file and %d in the new one; record both at the same GOMAXPROCS",
+				benchKey(nb), ob.GOMAXPROCS, nb.GOMAXPROCS)
+		}
+	}
+	return nil
 }
 
 // compareDocs writes a regression report to w and returns the number of
@@ -97,6 +119,10 @@ func runCompare(oldPath, newPath string, nsTol float64, w io.Writer) int {
 	}
 	newDoc, err := loadDoc(newPath)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		return 2
+	}
+	if err := checkProcs(oldDoc, newDoc); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}

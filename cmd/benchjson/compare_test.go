@@ -118,3 +118,62 @@ func TestCompareBadFile(t *testing.T) {
 		t.Fatalf("runCompare(missing file) = %d, want 2", code)
 	}
 }
+
+func TestCompareRefusesGOMAXPROCSMismatch(t *testing.T) {
+	// The 4-proc file allocates 7/op where the 1-proc file has 0: that is
+	// worker hand-off, not a regression, so compare must refuse to judge.
+	var buf bytes.Buffer
+	if code := runCompare("testdata/procs1.json", "testdata/procs4.json", 0.10, &buf); code != 2 {
+		t.Fatalf("runCompare(GOMAXPROCS 1 vs 4) = %d, want 2\n%s", code, buf.String())
+	}
+	if strings.Contains(buf.String(), "REGRESSION") {
+		t.Errorf("reported host-shape regressions instead of refusing:\n%s", buf.String())
+	}
+	oldDoc, _ := loadDoc("testdata/procs1.json")
+	newDoc, _ := loadDoc("testdata/procs4.json")
+	err := checkProcs(oldDoc, newDoc)
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS differs: spca/internal/matrix BenchmarkKernelsInPlace/MulInto ran at 1 in the old file and 4 in the new one") {
+		t.Errorf("mismatch message = %v", err)
+	}
+	// Same GOMAXPROCS on both sides compares normally.
+	if code := runCompare("testdata/procs4.json", "testdata/procs4.json", 0.10, &buf); code != 0 {
+		t.Errorf("runCompare(procs4 vs itself) = %d, want 0", code)
+	}
+}
+
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	cases := []struct {
+		line  string
+		procs int
+	}{
+		{"BenchmarkKernelsQR/seq-2   20   8318343 ns/op", 2},
+		{"BenchmarkKernelsQR/seq-16   20   8318343 ns/op", 16},
+		{"BenchmarkKernelsInPlace/MulInto   20   4521051 ns/op   0 B/op   0 allocs/op", 1},
+	}
+	for _, c := range cases {
+		b, ok := parseBenchLine(c.line)
+		if !ok || b.GOMAXPROCS != c.procs || b.Samples != 1 {
+			t.Errorf("%q: ok=%v gomaxprocs=%d samples=%d, want %d and 1", c.line, ok, b.GOMAXPROCS, b.Samples, c.procs)
+		}
+	}
+}
+
+func TestFoldTakesMedianOfSamples(t *testing.T) {
+	var runs []Benchmark
+	for _, line := range []string{
+		"BenchmarkA-2   10   300 ns/op   8 B/op   1 allocs/op   5 x/op",
+		"BenchmarkA-2   10   100 ns/op   8 B/op   1 allocs/op   1 x/op",
+		"BenchmarkA-2   20   200 ns/op   8 B/op   1 allocs/op   3 x/op",
+	} {
+		b, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("unparsed %q", line)
+		}
+		runs = append(runs, b)
+	}
+	got := fold(runs)
+	if got.Samples != 3 || got.GOMAXPROCS != 2 || got.Iterations != 40 || got.NsPerOp != 200 ||
+		*got.BytesPerOp != 8 || *got.AllocsPerOp != 1 || got.Extra["x/op"] != 3 {
+		t.Errorf("fold = %+v", got)
+	}
+}

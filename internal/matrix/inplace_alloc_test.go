@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"runtime"
 	"testing"
 
 	"spca/internal/parallel"
@@ -69,5 +70,60 @@ func TestForRunnerMatchesFor(t *testing.T) {
 	a.MulTInto(a, gotT)
 	if wantT.MaxAbsDiff(gotT) != 0 {
 		t.Fatal("MulTInto Runner dispatch not bit-identical")
+	}
+}
+
+// TestGramSchmidtZeroAllocs gates the in-place Gram–Schmidt: no per-column
+// copies and no coefficient buffer on the heap, including the blocked path
+// for more than colBlock columns.
+func TestGramSchmidtZeroAllocs(t *testing.T) {
+	rng := NewRNG(13)
+	for _, a := range []*Dense{NormRnd(rng, 1250, 26), NormRnd(rng, 300, colBlock+6)} {
+		if allocs := testing.AllocsPerRun(20, func() { GramSchmidt(a) }); allocs != 0 {
+			t.Errorf("GramSchmidt %dx%d: %v allocs/op, want 0", a.R, a.C, allocs)
+		}
+	}
+}
+
+// TestQRWorkspaceZeroAllocs gates the reused QR workspace on the inline
+// path: a warm workspace factors a same-shaped input with no allocation.
+func TestQRWorkspaceZeroAllocs(t *testing.T) {
+	parallel.SetSequential(true)
+	defer parallel.SetSequential(false)
+	a := NormRnd(NewRNG(14), 5000, 26)
+	var ws QRWorkspace
+	ws.Q(a)
+	if allocs := testing.AllocsPerRun(5, func() { ws.Q(a) }); allocs != 0 {
+		t.Errorf("QRWorkspace.Q: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestQRWorkspaceParallelBytesFlat gates the multi-worker path: the only
+// allocations left are the pool's worker hand-offs, at most four parallel
+// sweeps per column, so bytes per call must not grow with the row count.
+// The flop grain decides how many sweeps go parallel and it depends on m,
+// so the two sizes may differ by that bounded dispatch overhead; anything
+// sized by m (a Q copy, a column copy, even one float per row) fails.
+func TestQRWorkspaceParallelBytesFlat(t *testing.T) {
+	parallel.SetWorkers(4)
+	defer parallel.SetWorkers(0)
+	const n, small, large = 26, 1000, 8000
+	perCall := func(m int) uint64 {
+		a := NormRnd(NewRNG(15), m, n)
+		var ws QRWorkspace
+		ws.Q(a)
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			ws.Q(a)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	bSmall, bLarge := perCall(small), perCall(large)
+	t.Logf("bytes/call: m=%d %d, m=%d %d", small, bSmall, large, bLarge)
+	if bLarge >= bSmall+8*(large-small) {
+		t.Errorf("QRWorkspace.Q bytes/call grow with rows: m=%d %d, m=%d %d", small, bSmall, large, bLarge)
 	}
 }

@@ -75,6 +75,28 @@ func BenchmarkKernelsQRR(b *testing.B) {
 	benchSeqPar(b, func() { QRR(a) })
 }
 
+// BenchmarkKernelsQR is the RSVDMapReduce driver QR on the sketch-dense
+// shape: a 5000-row projection with k = 26 columns, factored in a reused
+// workspace as the rsvd and ssvd drivers do.
+func BenchmarkKernelsQR(b *testing.B) {
+	a := NormRnd(NewRNG(8), 5000, 26)
+	var ws QRWorkspace
+	benchSeqPar(b, func() { ws.Q(a) })
+}
+
+// BenchmarkKernelsGramSchmidt is one RSVDSpark partition's basis on the
+// sketch-dense shape: 1250 rows (5000 over four partitions), k = 26.
+func BenchmarkKernelsGramSchmidt(b *testing.B) {
+	a := NormRnd(NewRNG(9), 1250, 26)
+	w := NewDense(a.R, a.C)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(w.Data, a.Data)
+		GramSchmidt(w)
+	}
+}
+
 func BenchmarkKernelsSymEigen(b *testing.B) {
 	rng := NewRNG(6)
 	g := NormRnd(rng, 96, 96)

@@ -90,6 +90,10 @@ type mrEngine struct {
 	scr     *mrScratch
 	p       *matrix.Dense // N x k projection, refilled by every project job
 	b       *matrix.Dense // D x k, refilled by every B job
+	// qr holds the driver QR's buffers. Its Q is consumed by the next B job
+	// and never reaches the returned model, so one workspace serves every
+	// QR of the fit.
+	qr matrix.QRWorkspace
 }
 
 func (e *mrEngine) faultEpoch() int64 { return e.eng.JobSeq() }
@@ -104,7 +108,7 @@ func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 	if err := e.projectJob("rsvd-range", omega); err != nil {
 		return nil, nil, err
 	}
-	q := qrPhase(cl, e.p)
+	q := qrPhase(cl, &e.qr, e.p)
 
 	// Power iterations: Q ← QR(Yc·(YcᵀQ)), re-orthonormalizing after every
 	// application so the basis never degenerates (Halko's recommendation).
@@ -116,7 +120,7 @@ func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 		if err := e.projectJob(fmt.Sprintf("rsvd-power-%d", pi), e.b); err != nil {
 			return nil, nil, err
 		}
-		q = qrPhase(cl, e.p)
+		q = qrPhase(cl, &e.qr, e.p)
 	}
 
 	// B = YcᵀQ (D x k), then the small SVD on the driver: principal
@@ -139,9 +143,9 @@ func broadcastBytes(cl *cluster.Cluster, name string, bytes int64) {
 
 // qrPhase orthonormalizes the materialized projection: the real QR runs on
 // the driver's copy and the distributed cost is charged — O(N·k²) compute
-// plus a full write+read of Q.
-func qrPhase(cl *cluster.Cluster, p *matrix.Dense) *matrix.Dense {
-	q, _ := matrix.QR(p)
+// plus a full write+read of Q. The returned Q lives in ws until its next use.
+func qrPhase(cl *cluster.Cluster, ws *matrix.QRWorkspace, p *matrix.Dense) *matrix.Dense {
+	q := ws.Q(p)
 	nk := int64(p.R) * int64(p.C) * 8
 	cl.RunPhase(cluster.PhaseStats{
 		Name:              "rsvd/qr",

@@ -199,7 +199,7 @@ type driver struct {
 	n, dims int
 	k       int
 	mean    []float64
-	y       *matrix.Sparse
+	rows    []matrix.SparseVector
 	sample  []int
 	recon   *reconScratch
 
@@ -212,7 +212,7 @@ func newDriver(cl *cluster.Cluster, opt Options, rows []matrix.SparseVector, dim
 	return &driver{
 		cl: cl, opt: opt, n: len(rows), dims: dims,
 		k:       opt.sketchWidth(len(rows), dims),
-		y:       sparseFromRows(rows, dims),
+		rows:    rows,
 		sample:  sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
 		recon:   newReconScratch(dims, opt.Components),
 		bestErr: math.Inf(1),
@@ -290,7 +290,7 @@ func (dr *driver) runRound(eng roundEngine, res *Result, round int) (bool, error
 	}
 	// Best-of-rounds on the sampled reconstruction error (§2.3's
 	// accuracy/compute trade, shared with the ssvd baseline's metric).
-	e := dr.recon.reconstructionError(dr.y, dr.mean, w, dr.sample)
+	e := dr.recon.reconstructionError(dr.rows, dr.mean, w, dr.sample)
 	if e < dr.bestErr {
 		dr.bestErr = e
 		dr.bestW = w
@@ -503,13 +503,13 @@ func newReconScratch(dims, d int) *reconScratch {
 
 // reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
 // Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
+func (rs *reconScratch) reconstructionError(y []matrix.SparseVector, mean []float64, w *matrix.Dense, rows []int) float64 {
 	var num, den float64
 	xi := rs.xi[:w.C]
 	wm := w.MulVecTInto(mean, rs.wm[:w.C])
 	tNum, tDen := rs.tNum, rs.tDen
 	for _, i := range rows {
-		row := y.Row(i)
+		row := y[i]
 		for t := range xi {
 			xi[t] = -wm[t]
 		}
@@ -517,7 +517,7 @@ func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w 
 			matrix.AXPY(row.Values[t], w.Row(j), xi)
 		}
 		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
+		for j := range tNum {
 			num += tNum[j]
 			den += tDen[j]
 		}
@@ -526,12 +526,4 @@ func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w 
 		return 0
 	}
 	return num / den
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

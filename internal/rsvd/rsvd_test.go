@@ -76,7 +76,7 @@ func TestRSVDHalkoBound(t *testing.T) {
 	rows := dataset.Rows(y)
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	exact := newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	exact := newReconScratch(y.C, d).reconstructionError(rows, mean, v, sampleIdx(y.R, 256, 42))
 	if exact <= 0 {
 		t.Fatalf("degenerate exact error %v", exact)
 	}
@@ -279,7 +279,7 @@ func TestRSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	return newReconScratch(y.C, d).reconstructionError(dataset.Rows(y), mean, v, sampleIdx(y.R, 256, 42))
 }
 
 func TestRSVDOversampleClamped(t *testing.T) {
@@ -292,5 +292,25 @@ func TestRSVDOversampleClamped(t *testing.T) {
 		if res.Components.C != 2 || res.Components.R != 8 {
 			t.Fatalf("%s: components dims %dx%d", name, res.Components.R, res.Components.C)
 		}
+	}
+}
+
+// TestLocalSketchZeroAllocs gates the package doc's mapper promise on the
+// Spark engine: once a partition's scratch exists, a whole local sketch
+// (projection, in-place Gram–Schmidt, power iteration, the shipped block)
+// allocates nothing.
+func TestLocalSketchZeroAllocs(t *testing.T) {
+	const n, dims, k = 1250, 128, 26
+	y := dataset.MustGenerate(dataset.Spec{Kind: dataset.KindImages, Rows: n, Cols: dims, Seed: 5})
+	part := dataset.Rows(y)
+	mean := y.ColMeans()
+	omega := matrix.NormRnd(matrix.NewRNG(6), dims, k)
+	mb := omega.MulVecT(mean)
+	ls := newLocalSketch(n, dims, k)
+	var ops rdd.TaskOps
+	run := func() { ls.run(part, omega, mb, mean, 1, &ops) }
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("localSketch.run: %v allocs/op, want 0", allocs)
 	}
 }

@@ -121,7 +121,6 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	}
 
 	sample := sampleIdx(n, opt.sampleRows(), opt.Seed)
-	y := sparseFromRows(rows, dims)
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 1
@@ -135,6 +134,9 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		indexed[i] = indexedRow{idx: i, row: r}
 	}
 	recon := newReconScratch(dims, opt.Components)
+	// One QR workspace serves every round: each Q is consumed by the next Bt
+	// job and never reaches the result.
+	var qr matrix.QRWorkspace
 
 	res := &Result{}
 	bestErr := math.Inf(1)
@@ -164,7 +166,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			if err != nil {
 				return false, err
 			}
-			q := qrPhase(cl, proj)
+			q := qrPhase(cl, &qr, proj)
 
 			// Optional power iterations (Mahout -q): Q ← QR(Yc·(YcᵀQ)).
 			var bt *matrix.Dense
@@ -178,7 +180,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 				if err != nil {
 					return false, err
 				}
-				q = qrPhase(cl, proj)
+				q = qrPhase(cl, &qr, proj)
 			}
 
 			// Bt job: Bt = Ycᵀ·Q (D x k), Mahout-style per-row emission.
@@ -191,7 +193,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			cl.AddDriverCompute(int64(dims) * int64(k) * int64(k))
 
 			// Keep the best-of-rounds components (§2.3's accuracy/compute trade).
-			e := recon.reconstructionError(y, mean, w, sample)
+			e := recon.reconstructionError(rows, mean, w, sample)
 			if e < bestErr {
 				bestErr = e
 				res.Components = w
@@ -360,8 +362,9 @@ type indexedRow struct {
 // qrPhase orthonormalizes the materialized projection. Mahout performs a
 // distributed blockwise QR; we run the real QR on the driver's copy and
 // charge the distributed cost: O(N·k²) compute plus a full write+read of Q.
-func qrPhase(cl *cluster.Cluster, p *matrix.Dense) *matrix.Dense {
-	q, _ := matrix.QR(p)
+// The returned Q lives in ws until its next use.
+func qrPhase(cl *cluster.Cluster, ws *matrix.QRWorkspace, p *matrix.Dense) *matrix.Dense {
+	q := ws.Q(p)
 	nk := int64(p.R) * int64(p.C) * 8
 	cl.RunPhase(cluster.PhaseStats{
 		Name:              "ssvd/qr",
@@ -447,13 +450,13 @@ func newReconScratch(dims, d int) *reconScratch {
 
 // reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
 // Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
+func (rs *reconScratch) reconstructionError(y []matrix.SparseVector, mean []float64, w *matrix.Dense, rows []int) float64 {
 	var num, den float64
 	xi := rs.xi[:w.C]
 	wm := w.MulVecTInto(mean, rs.wm[:w.C])
 	tNum, tDen := rs.tNum, rs.tDen
 	for _, i := range rows {
-		row := y.Row(i)
+		row := y[i]
 		for t := range xi {
 			xi[t] = -wm[t]
 		}
@@ -461,7 +464,7 @@ func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w 
 			matrix.AXPY(row.Values[t], w.Row(j), xi)
 		}
 		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
+		for j := range tNum {
 			num += tNum[j]
 			den += tDen[j]
 		}
@@ -488,12 +491,4 @@ func sampleIdx(n, want int, seed uint64) []int {
 		}
 	}
 	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

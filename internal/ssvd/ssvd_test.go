@@ -124,7 +124,7 @@ func TestSSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	return newReconScratch(y.C, d).reconstructionError(dataset.Rows(y), mean, v, sampleIdx(y.R, 256, 42))
 }
 
 func TestSSVDGeneratesMoreShuffleThanItsInput(t *testing.T) {
