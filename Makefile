@@ -16,10 +16,12 @@ test:
 	$(GO) test ./...
 
 # The two distributed engines run real goroutines; keep them race-clean,
-# along with the kernel worker pool and the sketch engines that fan out
-# across both platforms.
+# along with the kernel worker pool, the sketch engines that fan out across
+# both platforms, and the round driver (internal/rounds, plus the EM engines'
+# crash/resume suites in internal/ppca), whose interrupt is set from the
+# context and watchdog goroutines while the driver polls it.
 race:
-	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/rsvd ./internal/serve
+	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/rsvd ./internal/serve ./internal/rounds ./internal/ppca
 
 # Vet-style grep gate: cmd/, examples/, and internal/ must use the Config
 # forms, not the deprecated positional wrappers (which survive only for the
@@ -78,13 +80,15 @@ bench-kernels:
 	$(GO) test . -run '^$$' -bench BenchmarkParallelSpeedup
 
 # Machine-readable benchmark baseline: in-place kernels, steady-state mapper
-# allocations, the pooled-vs-legacy end-to-end fit A/B pairs, and the sketch
+# allocations, the end-to-end EM fits on pooled scratch, and the sketch
 # engines' fit paths, written to $(BENCH_JSON) for committing and diffing
-# against earlier BENCH_*.json files.
+# against earlier BENCH_*.json files (the compare step only diffs benchmarks
+# both files contain, so baselines that still carry the retired *Legacy A/B
+# rows stay comparable).
 BENCH_JSON ?= BENCH_10.json
 bench-json:
 	{ $(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernelsInPlace -benchmem -benchtime 20x; \
-	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|Legacy|BenchmarkFitStream' -benchmem -benchtime 10x; \
+	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|BenchmarkFitStream' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/rsvd -run '^$$' -bench 'BenchmarkFitRSVD' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/ssvd -run '^$$' -bench 'BenchmarkFitSSVD' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe' -benchmem -benchtime 50x; } \

@@ -216,6 +216,29 @@ func TestAbortWithoutCheckpointNotResumable(t *testing.T) {
 	}
 }
 
+// TestMahoutCancelReportsCompletedRounds: the Mahout baseline's rounds run
+// on the shared round driver, so a cancel landing on a round boundary is
+// reported with the rounds that finished and the clock at the boundary, not
+// as a zero-progress abort.
+func TestMahoutCancelReportsCompletedRounds(t *testing.T) {
+	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 200, Cols: 40, Seed: 9})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := Config{Algorithm: MahoutPCA, Components: 3, MaxIter: 4,
+		Context: ctx, Observer: &cancelAtIter{n: 2, cancel: cancel}}
+	_, err := Fit(y, cfg)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	var ab *AbortError
+	if !errors.As(err, &ab) {
+		t.Fatalf("want *AbortError, got %v", err)
+	}
+	if ab.Iter != 2 || ab.SimSeconds <= 0 || ab.Checkpointed {
+		t.Fatalf("Mahout abort at the round-2 boundary malformed: %+v", ab)
+	}
+}
+
 // TestResumeRequiresCheckpoint pins the config guard: Resume without a
 // checkpoint directory is a configuration error, not a silent fresh run.
 func TestResumeRequiresCheckpoint(t *testing.T) {

@@ -164,12 +164,11 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	// components without the cubic wall-clock in this process.
 	comps, vals := topEigenSym(cov, opt.Components, opt.Seed)
 
-	ymat := sparseFromRows(rows, dims)
-	sample := sampleIdx(n, opt.sampleRows(), opt.Seed)
+	sample := matrix.SampleIdx(matrix.NewRNG(opt.Seed+0xACC), n, opt.sampleRows())
 	res := &Result{
 		Components:  comps,
 		Eigenvalues: vals,
-		Err:         reconstructionError(ymat, mean, comps, sample),
+		Err:         matrix.NewReconScratch(dims, opt.Components).Error(rows, mean, comps, sample),
 	}
 	res.Metrics = cl.Metrics()
 	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
@@ -193,58 +192,4 @@ func (o Options) sampleRows() int {
 		return 256
 	}
 	return o.SampleRows
-}
-
-// reconstructionError matches the metric used by the other algorithms.
-func reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	k := w.C
-	xi := make([]float64, k)
-	wm := w.MulVecT(mean)
-	tNum := make([]float64, y.C)
-	tDen := make([]float64, y.C)
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

@@ -1,6 +1,9 @@
 package matrix
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a small deterministic random number generator (splitmix64 core with
 // a Box–Muller Gaussian transform). It is self-contained so experiment output
@@ -70,6 +73,23 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// SampleIdx draws the sorted row sample an error metric is measured on: want
+// distinct indices of [0, n) from a permutation drawn with rng, or every row
+// when want >= n (rng is then left untouched). Callers seed rng from their own
+// stream, so each engine keeps grading itself on its historical rows.
+func SampleIdx(rng *RNG, n, want int) []int {
+	if want >= n {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx
+	}
+	idx := rng.Perm(n)[:want]
+	slices.Sort(idx)
+	return idx
 }
 
 // DeriveSeed expands one base seed into an independent sub-seed for a named

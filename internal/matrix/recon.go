@@ -45,3 +45,47 @@ func ReconTerms(row SparseVector, mean []float64, w *Dense, xi, num, den []float
 		}
 	})
 }
+
+// ReconScratch holds the buffers of the sketch engines' error metric,
+// allocated once per fit and reused by every round's Error call.
+type ReconScratch struct {
+	xi, wm, tNum, tDen []float64
+}
+
+// NewReconScratch sizes the metric buffers for a dims-column input and a
+// model of up to d components.
+func NewReconScratch(dims, d int) *ReconScratch {
+	return &ReconScratch{
+		xi:   make([]float64, d),
+		wm:   make([]float64, d),
+		tNum: make([]float64, dims),
+		tDen: make([]float64, dims),
+	}
+}
+
+// Error is the sPCA metric for an orthonormal loading matrix w: the sampled
+// relative 1-norm of Y - ((Yc·W)·Wᵀ + Ym) over the given rows of y.
+func (rs *ReconScratch) Error(y []SparseVector, mean []float64, w *Dense, rows []int) float64 {
+	var num, den float64
+	xi := rs.xi[:w.C]
+	wm := w.MulVecTInto(mean, rs.wm[:w.C])
+	tNum, tDen := rs.tNum, rs.tDen
+	for _, i := range rows {
+		row := y[i]
+		for t := range xi {
+			xi[t] = -wm[t]
+		}
+		for t, j := range row.Indices {
+			AXPY(row.Values[t], w.Row(j), xi)
+		}
+		ReconTerms(row, mean, w, xi, tNum, tDen)
+		for j := range tNum {
+			num += tNum[j]
+			den += tDen[j]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}

@@ -130,6 +130,16 @@ func (b *SparseBuilder) Build() *Sparse {
 	return &Sparse{R: len(b.rowPtr) - 1, C: b.c, RowPtr: b.rowPtr, Cols: b.cols, Vals: b.vals}
 }
 
+// SparseFromRows reassembles a CSR matrix with dims columns from row
+// records (the inverse of slicing a matrix into its Row views).
+func SparseFromRows(rows []SparseVector, dims int) *Sparse {
+	b := NewSparseBuilder(dims)
+	for _, r := range rows {
+		b.AddRow(r.Indices, r.Values)
+	}
+	return b.Build()
+}
+
 // Dims returns the number of rows and columns.
 func (m *Sparse) Dims() (r, c int) { return m.R, m.C }
 

@@ -1,6 +1,7 @@
 package ppca
 
 import (
+	"sync"
 	"testing"
 
 	"spca/internal/cluster"
@@ -51,9 +52,11 @@ func (nopOps) AddOps(int64) {}
 
 // retainMapper emits one shared accumulator slice per task — the in-mapper
 // combining pattern — and keeps a reference to it after Cleanup, modelling a
-// pooled mapper that will reuse the buffer next iteration.
+// pooled mapper that will reuse the buffer next iteration. Map tasks run
+// concurrently, so the shared retained list is appended under mu.
 type retainMapper struct {
 	acc      []float64
+	mu       *sync.Mutex
 	retained *[][]float64
 }
 
@@ -66,7 +69,9 @@ func (m *retainMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []fl
 
 func (m *retainMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 	out.Emit(7, m.acc)
+	m.mu.Lock()
 	*m.retained = append(*m.retained, m.acc)
+	m.mu.Unlock()
 }
 
 // TestReducerOutputMutationDoesNotCorruptRetainedEmission runs a real job
@@ -75,11 +80,14 @@ func (m *retainMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 // mapper-retained emission buffers must be unaffected.
 func TestReducerOutputMutationDoesNotCorruptRetainedEmission(t *testing.T) {
 	eng := mapred.NewEngine(cluster.MustNew(cluster.DefaultConfig()))
-	var retained [][]float64
+	var (
+		mu       sync.Mutex
+		retained [][]float64
+	)
 	job := mapred.Job[matrix.SparseVector, int, []float64, []float64]{
 		Name: "alias-audit",
 		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, []float64] {
-			return &retainMapper{acc: make([]float64, 3), retained: &retained}
+			return &retainMapper{acc: make([]float64, 3), mu: &mu, retained: &retained}
 		},
 		Combine:     sumVec,
 		Reduce:      reduceSumVec,

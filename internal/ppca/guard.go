@@ -1,20 +1,20 @@
 package ppca
 
 // Durability and numerical guards for the EM driver. This file holds the
-// shared guarded iteration loop all four engines run on (runEM + emEngine),
-// the non-finite and divergence detectors, the deterministic escalating-ridge
-// retry for the d×d SPD solves, and the checkpoint write/restore glue. See
-// DESIGN.md "Durability & numerical guards".
+// guarded EM iteration all four engines share (runEM + emEngine, run as a
+// step of the internal/rounds driver), the non-finite and divergence
+// detectors, the deterministic escalating-ridge retry for the d×d SPD
+// solves, and the snapshot/restore of the EM state. See DESIGN.md
+// "Durability & numerical guards".
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
 	"spca/internal/matrix"
+	"spca/internal/rounds"
 	"spca/internal/trace"
 )
 
@@ -36,23 +36,9 @@ func (e *BreakdownError) Error() string {
 
 func (e *BreakdownError) Unwrap() error { return ErrNumericalBreakdown }
 
-// CheckpointSpec configures periodic driver snapshots. The zero value
-// disables checkpointing entirely: no files, no simulated charges, and runs
-// stay byte-identical to a build without the subsystem.
-type CheckpointSpec struct {
-	// Interval writes a snapshot after every Interval-th EM iteration.
-	Interval int
-	// Dir is the directory snapshot files are written to (created if absent).
-	Dir string
-	// Keep bounds how many snapshot generations are retained after each
-	// write: 0 means checkpoint.DefaultKeep, negative means unlimited.
-	// Keeping more than one generation is what lets a resume fall back past
-	// a corrupt newest snapshot.
-	Keep int
-}
-
-// Enabled reports whether snapshots will be written.
-func (c CheckpointSpec) Enabled() bool { return c.Interval > 0 && c.Dir != "" }
+// CheckpointSpec configures periodic driver snapshots; see
+// rounds.CheckpointSpec. The zero value disables checkpointing.
+type CheckpointSpec = rounds.CheckpointSpec
 
 // maxRidgeRetries bounds the reactive ridge escalation on a singular solve.
 // Past it the input is genuinely unrecoverable and ErrSingular propagates.
@@ -77,49 +63,27 @@ type emEngine interface {
 	cluster() *cluster.Cluster
 	// faultEpoch reports the engine's fault-decision cursor (job sequence /
 	// action epoch) for checkpoints, so a resumed driver replays the same
-	// task-fault draws. Zero for single-machine engines.
+	// task-fault draws; setFaultEpoch restores it. Zero and a no-op for
+	// single-machine engines.
 	faultEpoch() int64
+	setFaultEpoch(epoch int64)
 }
 
-// runEM is the guarded EM iteration loop shared by all four engines. Each
-// iteration runs prepare → pass → update → ss3 → finishVariance exactly as
-// the per-engine loops used to, then layers on the durability and numerical
-// guards: a non-finite scan of the model state, divergence detection with
-// rollback to the best snapshot, the periodic checkpoint write, and the
-// scheduled driver-crash injection. The convergence check runs at the top of
-// the loop so a run resumed from a snapshot taken at its converged iteration
-// stops immediately instead of iterating past the uninterrupted run.
+// runEM is the guarded EM iteration loop shared by all four engines: one EM
+// iteration per round of the shared round driver (internal/rounds), which
+// owns the interrupt polls, checkpoints, driver-crash injection, and the
+// resume prologue. With opt.Resume set, em must have been built from the
+// snapshot's mean and ss1; the driver validates and restores the rest.
 func runEM(em *emDriver, opt Options, eng emEngine, res *Result) error {
 	cl := eng.cluster()
-	for iter := em.startIter; iter <= opt.MaxIter; iter++ {
-		if opt.converged(res.History) {
-			break
-		}
-		// Entry poll: a context canceled before (or between) iterations is
-		// observed here, with iter-1 iterations completed and the driver
-		// state exactly at that boundary.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return em.abortRun(iter-1, cause, opt, res, cl, eng.faultEpoch(), true)
-		}
-		if err := runEMIter(em, opt, eng, res, cl, iter); err != nil {
-			if cluster.IsInterrupt(err) {
-				// An engine phase caught the interrupt mid-iteration. The
-				// current iteration is abandoned — driver state may be
-				// mid-update, so no fresh snapshot is written; a resume
-				// redoes the abandoned iteration from the last periodic
-				// snapshot, deterministically.
-				return em.abortRun(iter-1, err, opt, res, cl, eng.faultEpoch(), false)
-			}
-			return err
-		}
-		// Boundary poll: the iteration (including its periodic checkpoint and
-		// observer callbacks) finished — this is the deterministic abort point
-		// the chaos suite cancels at. Checked before Progress so a stall that
-		// opened during the iteration's driver-side tail is still observed.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return em.abortRun(iter, cause, opt, res, cl, eng.faultEpoch(), true)
-		}
-		opt.Interrupt.Progress()
+	drv := &rounds.Driver{
+		Checkpoint: opt.Checkpoint, Resume: opt.Resume, Faults: opt.Faults,
+		Incarnation: opt.Incarnation, RecoveredSeconds: opt.RecoveredSeconds,
+		Interrupt: opt.Interrupt, Tracer: opt.Tracer, Cluster: cl, Metrics: &res.Metrics,
+	}
+	s := &emStep{em: em, opt: opt, eng: eng, res: res, drv: drv}
+	if err := drv.Run(s, em.n, em.dims, em.d, opt.Seed, opt.MaxIter); err != nil {
+		return err
 	}
 	res.Components = em.c
 	res.SS = em.ss
@@ -131,10 +95,27 @@ func runEM(em *emDriver, opt Options, eng emEngine, res *Result) error {
 	return nil
 }
 
-// runEMIter is one guarded EM iteration, factored out so the iteration span
-// brackets exactly the work of the iteration (including its checkpoint write)
-// on every exit path.
-func runEMIter(em *emDriver, opt Options, eng emEngine, res *Result, cl *cluster.Cluster, iter int) (err error) {
+// emStep adapts one engine's EM iteration to the round driver.
+type emStep struct {
+	em  *emDriver
+	opt Options
+	eng emEngine
+	res *Result
+	drv *rounds.Driver
+}
+
+// Done is the convergence check. It runs at the top of the round, so a run
+// resumed from a snapshot taken at its converged iteration stops immediately
+// instead of iterating past the uninterrupted run.
+func (s *emStep) Done() bool { return s.opt.converged(s.res.History) }
+
+// Round is one guarded EM iteration: prepare → pass → update → ss3 →
+// finishVariance, then a non-finite scan of the model state and divergence
+// detection with rollback to the best snapshot. The iteration span brackets
+// exactly the work of the iteration, including its checkpoint write, on
+// every exit path.
+func (s *emStep) Round(iter int) (stop bool, err error) {
+	em, opt, eng, res := s.em, s.opt, s.eng, s.res
 	tr := opt.Tracer
 	if tr != nil {
 		tr.Begin("iteration", trace.KindIteration, trace.I("iter", int64(iter)))
@@ -148,38 +129,38 @@ func runEMIter(em *emDriver, opt Options, eng emEngine, res *Result, cl *cluster
 		}()
 	}
 	if err := em.prepare(); err != nil {
-		return err
+		return false, err
 	}
 	eng.prepared(em)
 	sums, err := eng.pass(em)
 	if err != nil {
-		return err
+		return false, err
 	}
 	cNew, err := em.update(sums)
 	if err != nil {
-		return err
+		return false, err
 	}
 	eng.solved(em, cNew)
 	ss3raw, err := eng.ss3(em, cNew)
 	if err != nil {
-		return err
+		return false, err
 	}
 	em.finishVariance(ss3raw)
 	if err := em.checkFinite(iter); err != nil {
-		return err
+		return false, err
 	}
 
 	e := eng.reconErr(em)
 	stat := IterationStat{
 		Iter:         iter,
 		Err:          e,
-		Accuracy:     opt.accuracyOf(e),
+		Accuracy:     rounds.Accuracy(opt.IdealError, e),
 		SS:           em.ss,
 		Ridge:        em.lastRidge,
 		RidgeRetries: em.iterRidgeRetries,
 	}
 	em.iterRidgeRetries = 0
-	if cl != nil {
+	if cl := eng.cluster(); cl != nil {
 		stat.SimSeconds = cl.Metrics().SimSeconds
 	}
 	em.observeDivergence(&stat, opt, res.History)
@@ -191,102 +172,7 @@ func runEMIter(em *emDriver, opt Options, eng emEngine, res *Result, cl *cluster
 			RidgeRetries: stat.RidgeRetries, Rollback: stat.Rollback,
 		})
 	}
-
-	if opt.Checkpoint.Enabled() && iter%opt.Checkpoint.Interval == 0 {
-		if err := em.writeCheckpoint(iter, opt, res, cl, eng.faultEpoch()); err != nil {
-			return err
-		}
-	}
-	if opt.Faults.DriverCrashAt(iter, opt.Incarnation) {
-		crash := &cluster.DriverCrashError{Iter: iter, Incarnation: opt.Incarnation}
-		if cl != nil {
-			crash.SimSeconds = cl.Metrics().SimSeconds
-		}
-		if tr != nil {
-			tr.Event("driver-crash",
-				trace.I("iter", int64(iter)), trace.I("incarnation", int64(opt.Incarnation)))
-		}
-		return crash
-	}
-	return nil
-}
-
-// abortRun converts an observed interrupt into a resumable *cluster.AbortError.
-// last is the number of fully completed EM iterations; atBoundary reports
-// whether the driver state is exactly the post-iteration-last state (true for
-// the runEM boundary polls, false when an engine phase unwound mid-iteration).
-// Only a boundary abort may flush a fresh snapshot — mid-iteration state is
-// not a valid model — and the flush charges nothing to the simulated cluster,
-// so a resumed run's clock and trajectory stay bit-identical to an
-// uninterrupted one.
-func (em *emDriver) abortRun(last int, cause error, opt Options, res *Result, cl *cluster.Cluster, epoch int64, atBoundary bool) error {
-	ab := &cluster.AbortError{Iter: last, Cause: cause, SimSeconds: snapMetrics(cl, res).SimSeconds}
-	if errors.Is(cause, cluster.ErrStalled) {
-		ab.Diagnostic = cl.StallDiagnostic()
-	}
-	if opt.Checkpoint.Enabled() {
-		switch {
-		case last > 0 && last%opt.Checkpoint.Interval == 0:
-			// The periodic write at this boundary already covers it (either
-			// written this incarnation or the snapshot this run resumed from).
-			ab.Checkpointed = true
-		case atBoundary && last > 0:
-			if err := em.writeFinalCheckpoint(last, opt, res, cl, epoch); err != nil {
-				opt.Tracer.Event("final-checkpoint-failed", trace.I("iter", int64(last)))
-			} else {
-				ab.Checkpointed = true
-			}
-		default:
-			// Abandoned iteration: the newest periodic snapshot (or the one
-			// this run resumed from) is the resume point, if any exists.
-			ab.Checkpointed = last >= opt.Checkpoint.Interval || opt.Resume != nil
-		}
-	}
-	ck := int64(0)
-	if ab.Checkpointed {
-		ck = 1
-	}
-	opt.Tracer.Event(cluster.AbortEventName(cause), trace.I("iter", int64(last)), trace.I("checkpointed", ck))
-	return ab
-}
-
-// Final-snapshot flush retry bounds. This write is the run's last chance to
-// preserve progress before unwinding, so transient real-I/O failures are
-// retried with exponential backoff (real time — the simulated clock is
-// never involved in abort handling).
-const (
-	finalSaveRetries = 3
-	finalSaveBackoff = 25 * time.Millisecond
-)
-
-// writeFinalCheckpoint flushes an out-of-interval snapshot at an abort
-// boundary. Unlike the periodic writeCheckpoint it charges NOTHING to the
-// simulated cluster: the uninterrupted run never pays for this write, and the
-// snapshot's embedded metrics must equal the boundary state exactly so a
-// resume continues bit-identically.
-func (em *emDriver) writeFinalCheckpoint(iter int, opt Options, res *Result, cl *cluster.Cluster, epoch int64) error {
-	snap := em.buildSnapshot(iter, opt, res, epoch)
-	snap.Metrics = snapMetrics(cl, res)
-	var err error
-	backoff := finalSaveBackoff
-	for attempt := 0; attempt <= finalSaveRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if _, err = checkpoint.Save(opt.Checkpoint.Dir, snap); err == nil {
-			opt.Tracer.Event("final-checkpoint",
-				trace.I("iter", int64(iter)), trace.I("retries", int64(attempt)))
-			if opt.Checkpoint.Keep >= 0 {
-				if perr := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); perr != nil {
-					return fmt.Errorf("ppca: pruning checkpoints at abort: %w", perr)
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("ppca: final checkpoint at iteration %d failed after %d retries: %w",
-		iter, finalSaveRetries, err)
+	return false, s.drv.Commit(iter)
 }
 
 // checkFinite scans the model state after an iteration. EM cannot recover
@@ -408,55 +294,13 @@ func (em *emDriver) solveGuarded(xtx, ytx, dst *matrix.Dense, ws *matrix.SPDWork
 	}
 }
 
-// currentMetrics returns the accounting the next checkpoint should embed:
-// the cluster's metrics for engine fits, the locally accumulated Result
-// metrics for single-machine fits.
-func snapMetrics(cl *cluster.Cluster, res *Result) cluster.Metrics {
-	if cl != nil {
-		return cl.Metrics()
-	}
-	return res.Metrics
-}
-
-// writeCheckpoint charges and writes one driver snapshot. The simulated cost
-// uses the modeled binary size (Snapshot.CostBytes), which depends only on
-// the state shapes — never on the metric values being serialized — so the
-// charge is bit-identical between an uninterrupted run and a crashed+resumed
-// one. The charge lands before the snapshot's Metrics are captured: on
-// resume the clock restores to the post-write value, exactly what the
-// uninterrupted run's clock reads going into the next iteration.
-func (em *emDriver) writeCheckpoint(iter int, opt Options, res *Result, cl *cluster.Cluster, epoch int64) error {
-	snap := em.buildSnapshot(iter, opt, res, epoch)
-	cost := snap.CostBytes()
-	if cl != nil {
-		cl.ChargeCheckpoint(cost) // emits the checkpoint span itself
-	} else {
-		res.Metrics.CheckpointBytes += cost
-		opt.Tracer.Event("checkpoint", trace.I("checkpoint_bytes", cost))
-	}
-	snap.Metrics = snapMetrics(cl, res)
-	if _, err := checkpoint.Save(opt.Checkpoint.Dir, snap); err != nil {
-		return fmt.Errorf("ppca: writing checkpoint at iteration %d: %w", iter, err)
-	}
-	if err := injectSnapshotFault(opt, iter, snap.Bytes); err != nil {
-		return fmt.Errorf("ppca: injecting checkpoint fault at iteration %d: %w", iter, err)
-	}
-	if opt.Checkpoint.Keep >= 0 {
-		if err := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); err != nil {
-			return fmt.Errorf("ppca: pruning checkpoints at iteration %d: %w", iter, err)
-		}
-	}
-	return nil
-}
-
-// buildSnapshot assembles the driver's current boundary state into a
-// checkpoint snapshot (metrics are filled in by the caller, which decides
-// whether the write is charged to the simulated cluster first).
-func (em *emDriver) buildSnapshot(iter int, opt Options, res *Result, epoch int64) *checkpoint.Snapshot {
+// Snapshot assembles the driver's boundary state after iteration iter.
+func (s *emStep) Snapshot(iter int) *checkpoint.Snapshot {
+	em := s.em
 	snap := &checkpoint.Snapshot{
 		Iter: iter,
-		N:    em.n, Dims: em.dims, D: em.d, Seed: opt.Seed,
-		FaultEpoch: epoch,
+		N:    em.n, Dims: em.dims, D: em.d, Seed: s.opt.Seed,
+		FaultEpoch: s.eng.faultEpoch(),
 		SS:         em.ss, SS1: em.ss1,
 		Mean: em.mean, C: em.c,
 		RidgeLevel: em.ridgeLevel, Rising: em.rising,
@@ -464,8 +308,8 @@ func (em *emDriver) buildSnapshot(iter int, opt Options, res *Result, epoch int6
 	if em.haveBest {
 		snap.Best = &checkpoint.BestState{Iter: em.bestIter, Err: em.bestErr, SS: em.bestSS, C: em.bestC}
 	}
-	snap.History = make([]checkpoint.HistoryEntry, len(res.History))
-	for i, h := range res.History {
+	snap.History = make([]checkpoint.HistoryEntry, len(s.res.History))
+	for i, h := range s.res.History {
 		snap.History[i] = checkpoint.HistoryEntry{
 			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SS: h.SS,
 			SimSeconds: h.SimSeconds, Ridge: h.Ridge,
@@ -475,33 +319,12 @@ func (em *emDriver) buildSnapshot(iter int, opt Options, res *Result, epoch int6
 	return snap
 }
 
-// injectSnapshotFault damages the just-written snapshot file when the fault
-// plan says this generation is the unlucky one: either a torn write
-// (truncation, as if the process died mid-flush of a non-atomic writer) or a
-// flipped bit at a plan-derived offset. The damage is to the file only — the
-// in-memory driver state and simulated clock are untouched, so the run
-// continues exactly as if the write had succeeded, and only a later resume
-// discovers (and quarantines) the bad generation.
-func injectSnapshotFault(opt Options, iter int, size int64) error {
-	if !opt.Faults.SnapshotCorrupt(iter) {
-		return nil
-	}
-	path := filepath.Join(opt.Checkpoint.Dir, checkpoint.FileName(iter))
-	torn := opt.Faults.SnapshotTorn(iter)
-	off := opt.Faults.CorruptOffset("ckpt", iter, size)
-	kind := int64(0)
-	if torn {
-		kind = 1
-	}
-	opt.Tracer.Event("checkpoint-corrupted",
-		trace.I("iter", int64(iter)), trace.I("torn", kind), trace.I("offset", off))
-	return checkpoint.Corrupt(path, torn, off)
-}
-
-// restore loads a validated snapshot into the driver: model state, guard
-// state, and the completed history. The caller is responsible for restoring
-// cluster metrics and charging the restore (the engines do it differently).
-func (em *emDriver) restore(snap *checkpoint.Snapshot, res *Result) {
+// Restore loads a validated snapshot into the driver: the engine's fault
+// cursor, model state, guard state, and the completed history. The mean and
+// ss1 are already in place (em was built from the snapshot's).
+func (s *emStep) Restore(snap *checkpoint.Snapshot) {
+	em := s.em
+	s.eng.setFaultEpoch(snap.FaultEpoch)
 	copy(em.c.Data, snap.C.Data)
 	em.ss = snap.SS
 	em.ridgeLevel = snap.RidgeLevel
@@ -516,13 +339,12 @@ func (em *emDriver) restore(snap *checkpoint.Snapshot, res *Result) {
 		}
 		copy(em.bestC.Data, snap.Best.C.Data)
 	}
-	res.History = res.History[:0]
+	s.res.History = s.res.History[:0]
 	for _, h := range snap.History {
-		res.History = append(res.History, IterationStat{
+		s.res.History = append(s.res.History, IterationStat{
 			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SS: h.SS,
 			SimSeconds: h.SimSeconds, Ridge: h.Ridge,
 			RidgeRetries: h.RidgeRetries, Rollback: h.Rollback,
 		})
 	}
-	em.startIter = snap.Iter + 1
 }

@@ -35,34 +35,15 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 	mean := y.ColMeans()
 	ss1 := y.CenteredFrobeniusSq(mean)
 	em := newEMDriver(opt, y.R, y.C, mean, ss1)
-	res := &Result{}
-
-	if snap := opt.Resume; snap != nil {
-		// Local fits have no simulated cluster: the restore only counts the
-		// snapshot read and the restart in the Result metrics.
-		if err := snap.Validate(y.R, y.C, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		res.Metrics = snap.Metrics
-		res.Metrics.DriverRestarts++
-		em.restore(snap, res)
-	} else if opt.SmartGuess {
+	if opt.Resume == nil && opt.SmartGuess {
 		if err := smartGuessLocal(y, opt, em); err != nil {
 			return nil, fmt.Errorf("ppca: smart guess: %w", err)
 		}
 	}
-	if opt.Resume == nil && opt.Incarnation > 0 {
-		res.Metrics.DriverRestarts++
-	}
-	res.Mean = mean
+	res := &Result{Mean: mean}
 
-	// Pass scratch allocated once and recycled every iteration (nil = legacy
-	// allocating path kept for A/B benchmarking).
-	var scr *localScratch
-	if reuseScratch {
-		scr = newLocalScratch(y.C, em.d)
-	}
-	e := &localEngine{y: y, scr: scr, sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)}
+	// Pass scratch allocated once and recycled every iteration.
+	e := &localEngine{y: y, scr: newLocalScratch(y.C, em.d), sample: opt.errorSample(y.R)}
 	if err := runEM(em, opt, e, res); err != nil {
 		return nil, err
 	}
@@ -71,7 +52,7 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 
 // localEngine adapts the single-machine passes to the shared guarded EM
 // loop. There is no simulated cluster, so the broadcast/compute charge hooks
-// are no-ops and History.SimSeconds stays zero, as before.
+// are no-ops and History.SimSeconds stays zero.
 type localEngine struct {
 	y      *matrix.Sparse
 	scr    *localScratch
@@ -80,6 +61,7 @@ type localEngine struct {
 
 func (e *localEngine) cluster() *cluster.Cluster { return nil }
 func (e *localEngine) faultEpoch() int64         { return 0 }
+func (e *localEngine) setFaultEpoch(int64)       {}
 func (e *localEngine) prepared(*emDriver)        {}
 func (e *localEngine) pass(em *emDriver) (jobSums, error) {
 	return localPass(e.y, em, e.scr), nil
@@ -124,21 +106,13 @@ func (s *localScratch) ensureWorkers(d int) {
 
 // localPass is the consolidated YtX+XtX pass (one scan over the rows).
 func localPass(y *matrix.Sparse, em *emDriver, scr *localScratch) jobSums {
-	d := em.d
-	var sums jobSums
-	var xis *matrix.Dense
-	if scr != nil {
-		sums = scr.sums
-		sums.ytx.Zero()
-		sums.xtx.Zero()
-		for i := range sums.sumX {
-			sums.sumX[i] = 0
-		}
-		xis = scr.xis // fully overwritten block by block
-	} else {
-		sums = newJobSums(y.C, d)
-		xis = matrix.NewDense(latentBlock, d)
+	sums := scr.sums
+	sums.ytx.Zero()
+	sums.xtx.Zero()
+	for i := range sums.sumX {
+		sums.sumX[i] = 0
 	}
+	xis := scr.xis // fully overwritten block by block
 	for base := 0; base < y.R; base += latentBlock {
 		end := base + latentBlock
 		if end > y.R {
@@ -169,13 +143,8 @@ func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch
 	var ss3 float64
 	// Per-row terms Xi_c·(Cᵀ·Yiᵀ) fill in parallel per block; the final sum
 	// runs over rows in their original order, bit-identical to a plain loop.
-	var terms []float64
-	if scr != nil {
-		scr.ensureWorkers(d)
-		terms = scr.terms
-	} else {
-		terms = make([]float64, latentBlock)
-	}
+	scr.ensureWorkers(d)
+	terms := scr.terms
 	ss3Row := func(t int, row matrix.SparseVector, xi, ct []float64) {
 		computeLatentRow(row, em, xi)
 		for k := range ct {
@@ -191,23 +160,13 @@ func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch
 		if end > y.R {
 			end = y.R
 		}
-		if scr != nil {
-			parallel.ForWorker(end-base, 16, func(w, lo, hi int) {
-				sub := scr.work[w]
-				xi, ct := sub[:d], sub[d:2*d]
-				for t := lo; t < hi; t++ {
-					ss3Row(t, y.Row(base+t), xi, ct)
-				}
-			})
-		} else {
-			parallel.For(end-base, 16, func(lo, hi int) {
-				xi := make([]float64, d)
-				ct := make([]float64, d)
-				for t := lo; t < hi; t++ {
-					ss3Row(t, y.Row(base+t), xi, ct)
-				}
-			})
-		}
+		parallel.ForWorker(end-base, 16, func(w, lo, hi int) {
+			sub := scr.work[w]
+			xi, ct := sub[:d], sub[d:2*d]
+			for t := lo; t < hi; t++ {
+				ss3Row(t, y.Row(base+t), xi, ct)
+			}
+		})
 		for t := 0; t < end-base; t++ {
 			ss3 += terms[t]
 		}
@@ -266,7 +225,7 @@ func smartGuessSize(opt Options, n int) int {
 
 // sampleSparseRows builds a CSR matrix from a deterministic sample of rows.
 func sampleSparseRows(y *matrix.Sparse, n int, seed uint64) *matrix.Sparse {
-	idx := sampleIdx(y.R, n, seed)
+	idx := matrix.SampleIdx(matrix.NewRNG(seed+0xACC), y.R, n)
 	b := matrix.NewSparseBuilder(y.C)
 	for _, i := range idx {
 		row := y.Row(i)

@@ -6,6 +6,7 @@ import (
 
 	"spca/internal/dataset"
 	"spca/internal/matrix"
+	"spca/internal/rounds"
 )
 
 // lowRankSparse generates a planted low-rank sparse matrix for fit tests.
@@ -196,17 +197,16 @@ func TestIdealErrorBeatsEMError(t *testing.T) {
 }
 
 func TestAccuracyOfClamping(t *testing.T) {
-	o := Options{IdealError: 0.1}
-	if a := o.accuracyOf(0.1); math.Abs(a-1) > 1e-12 {
+	if a := rounds.Accuracy(0.1, 0.1); math.Abs(a-1) > 1e-12 {
 		t.Fatalf("accuracy at ideal error = %v", a)
 	}
-	if a := o.accuracyOf(0.05); a != 1 {
+	if a := rounds.Accuracy(0.1, 0.05); a != 1 {
 		t.Fatalf("better-than-ideal should clamp to 1: %v", a)
 	}
-	if a := o.accuracyOf(0.2); math.Abs(a-0.5) > 1e-12 {
+	if a := rounds.Accuracy(0.1, 0.2); math.Abs(a-0.5) > 1e-12 {
 		t.Fatalf("accuracy at double the ideal error = %v, want 0.5", a)
 	}
-	if a := (Options{}).accuracyOf(0.5); a != 0 {
+	if a := rounds.Accuracy(0, 0.5); a != 0 {
 		t.Fatal("accuracy without ideal error should be 0")
 	}
 }
@@ -229,11 +229,11 @@ func TestSmartGuessSize(t *testing.T) {
 }
 
 func TestSampleIdx(t *testing.T) {
-	idx := sampleIdx(10, 100, 1)
+	idx := Options{Seed: 1, SampleRows: 100}.errorSample(10)
 	if len(idx) != 10 {
 		t.Fatalf("want all rows, got %d", len(idx))
 	}
-	idx = sampleIdx(1000, 50, 1)
+	idx = Options{Seed: 1, SampleRows: 50}.errorSample(1000)
 	if len(idx) != 50 {
 		t.Fatalf("want 50, got %d", len(idx))
 	}

@@ -36,20 +36,11 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		defer tr.End()
 	}
 	res := &Result{}
-
 	var em *emDriver
 	if snap := opt.Resume; snap != nil {
 		// Resume: the mean/Frobenius jobs (and SmartGuess) were already paid
-		// for by the crashed incarnation and live in the snapshot; restore
-		// its clock wholesale and report the restore out-of-band.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
+		// for by the crashed incarnation and live in the snapshot.
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds)
-		eng.SetJobSeq(snap.FaultEpoch)
-		em.restore(snap, res)
 	} else {
 		// meanJob + FnormJob run once before the loop (Algorithm 4 lines 3-4).
 		mean, err := meanJob(eng, rows, dims)
@@ -66,27 +57,17 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
-		if opt.Incarnation > 0 {
-			// Restarted from scratch after a crash with no usable snapshot:
-			// count the restart and the previous incarnation's wasted time.
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
 	}
 	res.Mean = em.mean
 
 	// Per-task mapper scratch plus the driver-side job sums, allocated once
-	// and recycled every iteration (nil scratch = legacy allocating path).
-	var scr *mrScratch
-	var pooledSums jobSums
-	if reuseScratch {
-		scr = newMRScratch(eng.NumSplits(len(rows)), em.d, dims)
-		pooledSums = newJobSums(dims, em.d)
-	}
+	// and recycled every iteration.
 	e := &mrEngine{
 		eng: eng, rows: rows, dims: dims, opt: opt,
-		scr: scr, pooled: pooledSums,
-		y:      sparseFromRows(rows, dims),
-		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
+		scr:    newMRScratch(eng.NumSplits(len(rows)), em.d, dims),
+		pooled: newJobSums(dims, em.d),
+		y:      matrix.SparseFromRows(rows, dims),
+		sample: opt.errorSample(len(rows)),
 	}
 	if err := runEM(em, opt, e, res); err != nil {
 		return nil, err
@@ -108,6 +89,7 @@ type mrEngine struct {
 
 func (e *mrEngine) cluster() *cluster.Cluster { return e.eng.Cluster }
 func (e *mrEngine) faultEpoch() int64         { return e.eng.JobSeq() }
+func (e *mrEngine) setFaultEpoch(seq int64)   { e.eng.SetJobSeq(seq) }
 
 func (e *mrEngine) prepared(em *emDriver) {
 	// Ship CM (and later C) to every node, like Hadoop's distributed cache.
@@ -163,10 +145,8 @@ func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float6
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
 	}
-	if reuseScratch {
-		// Keys are the column range plus the keyMean row-count slot below it.
-		job.Dense = &mapred.DenseSpec{MinKey: keyMean, Keys: dims - keyMean, Width: 1}
-	}
+	// Keys are the column range plus the keyMean row-count slot below it.
+	job.Dense = &mapred.DenseSpec{MinKey: keyMean, Keys: dims - keyMean, Width: 1}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
 		return nil, err
@@ -248,9 +228,7 @@ func fnormJob(eng *mapred.Engine, rows []matrix.SparseVector, mean []float64, ef
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
 	}
-	if reuseScratch {
-		job.Dense = &mapred.DenseSpec{MinKey: keyFro, Keys: 1, Width: 1}
-	}
+	job.Dense = &mapred.DenseSpec{MinKey: keyFro, Keys: 1, Width: 1}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
 		return 0, err
@@ -329,18 +307,15 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 		// "each mapper generate[s] an entire dense matrix after processing
 		// each sparse row").
 		job.Combine = nil
-	} else if scr != nil {
-		// The pooled path also opts into the flat-slab shuffle: the naive
+	} else {
+		// The stateful path opts into the flat-slab shuffle: the naive
 		// (combiner-less) ablation stays generic because it emits duplicate
-		// keys per task, and the legacy A/B path stays generic by design.
+		// keys per task.
 		job.Dense = scr.denseYtX(dims, d)
 	}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
 		return jobSums{}, err
-	}
-	if sums.ytx == nil { // legacy A/B path: no driver-held sums provided
-		sums = newJobSums(dims, d)
 	}
 	return assembleSumsInto(out, sums)
 }
@@ -349,8 +324,7 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 // indexed by task id and reused across all EM iterations. Distinct tasks
 // write distinct slots of a pre-sized slice, so concurrent map tasks never
 // race; retried attempts of one task run sequentially in one goroutine and
-// start from a reset. A nil *mrScratch (the reuseScratch=false A/B path)
-// hands every attempt a fresh allocation, reproducing the legacy behaviour.
+// start from a reset.
 type mrScratch struct {
 	ytx []*ytxTaskScratch
 	ss3 []*ss3TaskScratch
@@ -427,9 +401,6 @@ func (sc *mrScratch) denseSS3() *mapred.DenseSpec {
 
 // ytxTask returns task's YtXJob scratch, reset and ready for a new attempt.
 func (sc *mrScratch) ytxTask(task, d int) *ytxTaskScratch {
-	if sc == nil {
-		return newYtxTaskScratch(d)
-	}
 	s := sc.ytx[task]
 	if s == nil {
 		s = newYtxTaskScratch(d)
@@ -441,9 +412,6 @@ func (sc *mrScratch) ytxTask(task, d int) *ytxTaskScratch {
 
 // ss3Task returns task's ss3Job scratch (no reset needed; see ss3TaskScratch).
 func (sc *mrScratch) ss3Task(task, d int) *ss3TaskScratch {
-	if sc == nil {
-		return newSS3TaskScratch(d)
-	}
 	s := sc.ss3[task]
 	if s == nil {
 		s = newSS3TaskScratch(d)
@@ -735,9 +703,7 @@ func ss3Job(eng *mapred.Engine, rows []matrix.SparseVector, em *emDriver, cNew *
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
 	}
-	if scr != nil {
-		job.Dense = scr.denseSS3()
-	}
+	job.Dense = scr.denseSS3()
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
 		return 0, err
@@ -979,8 +945,7 @@ func smartGuessMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims in
 	if n >= len(rows) {
 		return nil
 	}
-	sub := sparseFromRows(rows, dims)
-	sample := sampleSparseRows(sub, n, opt.Seed+0x5A)
+	sample := sampleSparseRows(matrix.SparseFromRows(rows, dims), n, opt.Seed+0x5A)
 	subOpt := opt
 	subOpt.SmartGuess = false
 	subOpt.TargetAccuracy = 0
@@ -995,13 +960,4 @@ func smartGuessMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims in
 	em.c = res.Components
 	em.ss = res.SS
 	return nil
-}
-
-// sparseFromRows reassembles a CSR matrix from engine records.
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

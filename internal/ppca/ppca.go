@@ -221,13 +221,6 @@ func latentMap(c *matrix.Dense, ss float64) (cm, minv *matrix.Dense, err error) 
 	return c.Mul(minv), minv, nil
 }
 
-// reuseScratch gates the pooled-scratch steady-state paths. All fits produce
-// bit-identical results either way (the in-place kernels share their loop
-// bodies with the allocating wrappers); the flag exists so benchmarks can
-// measure the legacy allocating behaviour against the pooled one in the same
-// process. It is not safe to flip while a fit is running.
-var reuseScratch = true
-
 // emDriver holds the driver-side state shared by all three fit paths.
 type emDriver struct {
 	opt  Options
@@ -250,7 +243,7 @@ type emDriver struct {
 
 	// Reusable driver-side scratch, allocated once in newEMDriver. Every
 	// per-iteration product is written in place, so the steady state of the
-	// EM loop performs no driver-side allocation (when reuseScratch is on).
+	// EM loop performs no driver-side allocation.
 	cNext   *matrix.Dense // M-step solve output; swapped with c each iteration
 	mWork   *matrix.Dense // d x d: M = CᵀC + ss·I, later XtX + ss·M⁻¹
 	invWork *matrix.Dense // d x 2d Gauss-Jordan scratch for InverseInto
@@ -261,13 +254,11 @@ type emDriver struct {
 	errNum  []float64 // dims
 	errDen  []float64 // dims
 
-	// Durability and numerical-guard state (see guard.go). startIter is 1
-	// for a fresh run and snapshot.Iter+1 after a restore; ridgeLevel is the
+	// Durability and numerical-guard state (see guard.go). ridgeLevel is the
 	// standing ridge escalation from divergence rollbacks; lastRidge and
 	// iterRidgeRetries trace the current iteration's guard activity into its
 	// History entry; bestC/bestSS/bestErr/bestIter track the rollback target
 	// (bestC preallocated only when the divergence guard is armed).
-	startIter        int
 	ridgeLevel       int
 	rising           int
 	lastRidge        float64
@@ -287,27 +278,26 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 		bestC = matrix.NewDense(dims, d) // rollback target, copied into in place
 	}
 	return &emDriver{
-		startIter: 1,
-		bestC:     bestC,
-		opt:       opt,
-		n:         n,
-		d:         d,
-		dims:      dims,
-		c:         matrix.NormRnd(rng, dims, d),
-		ss:        math.Abs(matrix.NewRNG(opt.Seed+0x9999).NormFloat64()) + 1,
-		mean:      mean,
-		ss1:       ss1,
-		cNext:     matrix.NewDense(dims, d),
-		cm:        matrix.NewDense(dims, d),
-		minv:      matrix.NewDense(d, d),
-		xm:        make([]float64, d),
-		mWork:     matrix.NewDense(d, d),
-		invWork:   matrix.NewDense(d, 2*d),
-		ctc:       matrix.NewDense(d, d),
-		ctym:      make([]float64, d),
-		errXi:     make([]float64, d),
-		errNum:    make([]float64, dims),
-		errDen:    make([]float64, dims),
+		bestC:   bestC,
+		opt:     opt,
+		n:       n,
+		d:       d,
+		dims:    dims,
+		c:       matrix.NormRnd(rng, dims, d),
+		ss:      math.Abs(matrix.NewRNG(opt.Seed+0x9999).NormFloat64()) + 1,
+		mean:    mean,
+		ss1:     ss1,
+		cNext:   matrix.NewDense(dims, d),
+		cm:      matrix.NewDense(dims, d),
+		minv:    matrix.NewDense(d, d),
+		xm:      make([]float64, d),
+		mWork:   matrix.NewDense(d, d),
+		invWork: matrix.NewDense(d, 2*d),
+		ctc:     matrix.NewDense(d, d),
+		ctym:    make([]float64, d),
+		errXi:   make([]float64, d),
+		errNum:  make([]float64, dims),
+		errDen:  make([]float64, dims),
 	}
 }
 
@@ -316,25 +306,6 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 // inverse still fails, the same bounded escalating ridge as the M-step solve
 // is applied to M's diagonal (equivalent to temporarily inflating ss).
 func (em *emDriver) prepare() error {
-	if !reuseScratch {
-		cm, minv, err := latentMap(em.c, em.ss)
-		for attempt := 0; err != nil; attempt++ {
-			if !errors.Is(err, matrix.ErrSingular) || attempt >= maxRidgeRetries {
-				return fmt.Errorf("%w (%w)", err, ErrNumericalBreakdown)
-			}
-			lam := (1 + em.ss) * 1e-10 * pow10(attempt)
-			em.iterRidgeRetries++
-			cm, minv, err = latentMap(em.c, em.ss+lam)
-		}
-		em.cm, em.minv = cm, minv
-		em.xm = make([]float64, em.d)
-		for j, mj := range em.mean {
-			if mj != 0 {
-				matrix.AXPY(mj, cm.Row(j), em.xm)
-			}
-		}
-		return nil
-	}
 	// In-place latentMap: M = CᵀC + ss·I, M⁻¹, CM = C·M⁻¹, all into driver
 	// scratch. Same kernels as the allocating path, so same bits.
 	em.c.MulTInto(em.c, em.mWork)
@@ -374,33 +345,8 @@ type jobSums struct {
 // update performs the driver-side M-step given the job sums, returning the
 // new C. ss is updated after the ss3 pass via finishVariance.
 func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
-	if !reuseScratch {
-		// Legacy allocating path, kept for A/B benchmarking.
-		// YtX = Σ Yiᵀ Xi_c - Ymᵀ (Σ Xi_c)   (mean propagation, §3.1)
-		// Rows of ytx are disjoint, so the correction runs on the parallel pool.
-		ytx := s.ytx.Clone()
-		parallel.For(len(em.mean), 2048/(em.d+1)+1, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if mj := em.mean[j]; mj != 0 {
-					matrix.AXPY(-mj, s.sumX, ytx.Row(j))
-				}
-			}
-		})
-		// XtX = Σ Xi_cᵀ Xi_c + ss·M⁻¹
-		xtx := s.xtx.Add(em.minv.Scale(em.ss))
-		cNew := matrix.NewDense(ytx.R, ytx.C)
-		if err := em.solveGuarded(xtx, ytx, cNew, &matrix.SPDWorkspace{}); err != nil {
-			return nil, err
-		}
-		em.c = cNew
-
-		// ss2 = trace(XtX · Cᵀ·C)
-		em.pendingSS2 = xtx.Mul(cNew.MulT(cNew)).Trace()
-		em.pendingSumX = s.sumX
-		return cNew, nil
-	}
-	// Pooled path. The caller owns s and rebuilds it from scratch every pass,
-	// so the mean correction can run directly on s.ytx instead of a clone.
+	// The caller owns s and rebuilds it from scratch every pass, so the mean
+	// correction can run directly on s.ytx instead of a clone.
 	ytx := s.ytx
 	parallel.For(len(em.mean), 2048/(em.d+1)+1, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -431,12 +377,7 @@ func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
 // ss = (ss1 + ss2 - 2·ss3)/(N·D). ss3Raw is Σ Xi_c·(Cᵀ·Yiᵀ); the mean
 // correction -(Σ Xi_c)·(Cᵀ·Ym) is applied here.
 func (em *emDriver) finishVariance(ss3Raw float64) {
-	var ctym []float64 // Cᵀ·Ym (d)
-	if reuseScratch {
-		ctym = em.c.MulVecTInto(em.mean, em.ctym)
-	} else {
-		ctym = em.c.MulVecT(em.mean)
-	}
+	ctym := em.c.MulVecTInto(em.mean, em.ctym) // Cᵀ·Ym (d)
 	ss3 := ss3Raw - matrix.Dot(em.pendingSumX, ctym)
 	ss := (em.ss1 + em.pendingSS2 - 2*ss3) / (float64(em.n) * float64(em.dims))
 	if ss < 1e-12 || math.IsNaN(ss) {
@@ -445,40 +386,22 @@ func (em *emDriver) finishVariance(ss3Raw float64) {
 	em.ss = ss
 }
 
-// sampleIdx returns the deterministic row sample used by the error metric.
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	sortInts(idx)
-	return idx
-}
-
-// reconstructionError computes the paper's accuracy metric on the given
-// rows: e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled
-// row as Xi_c·Cᵀ + Ym without materializing any large matrix.
-func reconstructionError(y *matrix.Sparse, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int) float64 {
-	d := cm.C
-	return reconstructionErrorInto(y, mean, c, cm, xm, rows,
-		make([]float64, d), make([]float64, y.C), make([]float64, y.C))
+// errorSample returns the deterministic sorted row sample of an n-row input
+// the error metric is measured on.
+func (o Options) errorSample(n int) []int {
+	return matrix.SampleIdx(matrix.NewRNG(o.Seed+0xACC), n, o.sampleRows())
 }
 
 // reconError is the driver-scratch entry point used by the fit loops.
 func (em *emDriver) reconError(y *matrix.Sparse, rows []int) float64 {
-	if !reuseScratch {
-		return reconstructionError(y, em.mean, em.c, em.cm, em.xm, rows)
-	}
 	return reconstructionErrorInto(y, em.mean, em.c, em.cm, em.xm, rows, em.errXi, em.errNum, em.errDen)
 }
 
-// reconstructionErrorInto is reconstructionError running on caller-provided
-// scratch: xi (len d), tNum and tDen (len y.C), all fully overwritten.
+// reconstructionErrorInto computes the paper's accuracy metric on the given
+// rows: e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled
+// row as Xi_c·Cᵀ + Ym without materializing any large matrix. It runs on
+// caller-provided scratch: xi (len d), tNum and tDen (len y.C), all fully
+// overwritten.
 func reconstructionErrorInto(y *matrix.Sparse, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int, xi, tNum, tDen []float64) float64 {
 	var num, den float64
 	for _, i := range rows {
@@ -512,7 +435,7 @@ func IdealError(y *matrix.Sparse, d int, opt Options) float64 {
 	mean := y.ColMeans()
 	steps := 3*d + 10
 	_, _, v := matrix.LanczosSVD(matrix.CenteredOp{M: y, Mean: mean}, d, steps, matrix.NewRNG(opt.Seed+0x1DEA))
-	rows := sampleIdx(y.R, opt.sampleRows(), opt.Seed)
+	rows := opt.errorSample(y.R)
 	// Exact PCA reconstruction: ŷ = ((Yi-Ym)·V)·Vᵀ + Ym.
 	var num, den float64
 	k := v.C
@@ -538,21 +461,6 @@ func IdealError(y *matrix.Sparse, d int, opt Options) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy, defined
-// as IdealError/err: it approaches 1 as the fit's reconstruction error
-// approaches the exact rank-d PCA's, and is well defined for any error
-// scale (the sampled 1-norm error exceeds 1 on very sparse binary data,
-// where reconstructions smear mass across the zero entries).
-func (o Options) accuracyOf(err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
 }
 
 // converged applies the STOP_CONDITION of §5.1.
@@ -584,12 +492,4 @@ func denseXC(xi []float64, c *matrix.Dense, xc []float64) {
 			xc[j] = matrix.Dot(xi, c.Row(j))
 		}
 	})
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

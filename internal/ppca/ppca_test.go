@@ -20,7 +20,7 @@ func TestUpdateSolvesNormalEquations(t *testing.T) {
 		if err := em.prepare(); err != nil {
 			return false
 		}
-		sums := localPass(y, em, nil)
+		sums := localPass(y, em, newLocalScratch(dims, d))
 		cNew, err := em.update(sums)
 		if err != nil {
 			return false
@@ -77,8 +77,8 @@ func TestReconstructionErrorNonNegative(t *testing.T) {
 		for j, mj := range mean {
 			matrix.AXPY(mj, cm.Row(j), xm)
 		}
-		rows := sampleIdx(n, 8, uint64(seed))
-		e := reconstructionError(y, mean, c, cm, xm, rows)
+		rows := Options{Seed: uint64(seed), SampleRows: 8}.errorSample(n)
+		e := reconstructionErrorInto(y, mean, c, cm, xm, rows, make([]float64, d), make([]float64, dims), make([]float64, dims))
 		return e >= 0 && !math.IsNaN(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -98,7 +98,7 @@ func TestLocalPassMatchesBruteForce(t *testing.T) {
 		if err := em.prepare(); err != nil {
 			return false
 		}
-		sums := localPass(y, em, nil)
+		sums := localPass(y, em, newLocalScratch(dims, d))
 
 		// Brute force with dense matrices: X = Yc·CM, YtXc = Ycᵀ·X.
 		yc := y.Dense().SubRowVec(mean)
@@ -132,7 +132,7 @@ func TestSS3OrderInvariance(t *testing.T) {
 			return false
 		}
 		c := matrix.NormRnd(rng, dims, d)
-		assoc := localSS3(y, em, c, nil)
+		assoc := localSS3(y, em, c, newLocalScratch(dims, d))
 
 		// Dense order: Σ (Xi·Cᵀ)·Yiᵀ.
 		var direct float64

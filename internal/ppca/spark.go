@@ -35,19 +35,10 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	res := &Result{}
 	var em *emDriver
 	if snap := opt.Resume; snap != nil {
-		// Resume: the RDD setup above had to be redone by this incarnation,
-		// so its cost (everything charged so far) moves to RecoverySeconds
-		// when the clock is rewound to the snapshot's value; the mean and
-		// Frobenius jobs are restored, not re-run.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		setup := cl.Metrics().SimSeconds
+		// Resume: the mean and Frobenius jobs are restored, not re-run. The
+		// RDD setup above had to be redone by this incarnation; the round
+		// driver moves its cost to RecoverySeconds when it rewinds the clock.
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds+setup)
-		ctx.SetEpoch(snap.FaultEpoch)
-		em.restore(snap, res)
 	} else {
 		mean, err := sparkMean(ctx, y, dims)
 		if err != nil {
@@ -63,22 +54,16 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
-		if opt.Incarnation > 0 {
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
 	}
 	res.Mean = em.mean
 
 	// Per-partition task scratch plus the driver-side sums, allocated once
-	// and recycled every iteration (nil = legacy allocating path).
-	var scr *sparkScratch
-	if reuseScratch {
-		scr = newSparkScratch(y.NumPartitions(), dims, em.d)
-	}
+	// and recycled every iteration.
 	e := &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt, scr: scr,
-		ymat:   sparseFromRows(rows, dims),
-		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
+		ctx: ctx, y: y, dims: dims, opt: opt,
+		scr:    newSparkScratch(y.NumPartitions(), dims, em.d),
+		ymat:   matrix.SparseFromRows(rows, dims),
+		sample: opt.errorSample(len(rows)),
 	}
 	if err := runEM(em, opt, e, res); err != nil {
 		return nil, err
@@ -99,6 +84,7 @@ type sparkEngine struct {
 
 func (e *sparkEngine) cluster() *cluster.Cluster { return e.ctx.Cluster() }
 func (e *sparkEngine) faultEpoch() int64         { return e.ctx.Epoch() }
+func (e *sparkEngine) setFaultEpoch(epoch int64) { e.ctx.SetEpoch(epoch) }
 
 func (e *sparkEngine) prepared(em *emDriver) {
 	rdd.Broadcast(e.ctx, "CM", mapred.BytesOfDense(em.cm))
@@ -106,7 +92,7 @@ func (e *sparkEngine) prepared(em *emDriver) {
 
 func (e *sparkEngine) pass(em *emDriver) (jobSums, error) {
 	if e.opt.MinimizeIntermediate {
-		return sparkYtXJob(e.ctx, e.y, e.dims, em, e.opt, e.scr)
+		return sparkYtXJob(e.ctx, e.y, em, e.opt, e.scr)
 	}
 	return sparkUnoptimized(e.ctx, e.y, e.dims, em, e.opt)
 }
@@ -261,8 +247,7 @@ func (s *sparkSums) merge(o *sparkSums) {
 // sparkScratch owns the per-fit reusable state of the Spark jobs: one scratch
 // per partition (partition count is fixed for the life of the RDD), the
 // accumulator zero the per-iteration YtX accumulator folds into, and the
-// driver-side jobSums. A nil *sparkScratch (reuseScratch=false) makes every
-// accessor allocate fresh, reproducing the legacy behaviour.
+// driver-side jobSums.
 //
 // Ownership protocol: the accumulator merge steals YtX row vectors from the
 // first task partial holding each key, so after Value() the accumulator zero
@@ -287,10 +272,7 @@ func newSparkScratch(partitions, dims, d int) *sparkScratch {
 
 // resetAccZero clears the accumulator zero for a new pass. The map values are
 // NOT recycled here — they are owned by the task scratches that donated them.
-func (sc *sparkScratch) resetAccZero(d int) *sparkSums {
-	if sc == nil {
-		return newSparkSums(d)
-	}
+func (sc *sparkScratch) resetAccZero() *sparkSums {
 	clear(sc.accZero.ytx)
 	for i := range sc.accZero.xtx {
 		sc.accZero.xtx[i] = 0
@@ -348,9 +330,6 @@ func (sc *sparkScratch) ss3Part(task, d int) *sparkPartScratch {
 }
 
 func (sc *sparkScratch) partScratch(task, d int) *sparkPartScratch {
-	if sc == nil {
-		return newSparkPartScratch(d)
-	}
 	ps := sc.parts[task]
 	if ps == nil {
 		ps = newSparkPartScratch(d)
@@ -382,9 +361,9 @@ func (ps *sparkPartScratch) densify(row matrix.SparseVector, mean []float64) mat
 
 // sparkYtXJob is Algorithm 5: one map pass computing X on demand, folding
 // XtX/YtX/ΣX partials into accumulators inside the map (no reduce stage).
-func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int, em *emDriver, opt Options, scr *sparkScratch) (jobSums, error) {
+func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver, opt Options, scr *sparkScratch) (jobSums, error) {
 	d := em.d
-	acc := rdd.NewAccumulator(ctx, "YtXSum", scr.resetAccZero(d),
+	acc := rdd.NewAccumulator(ctx, "YtXSum", scr.resetAccZero(),
 		func(into, from *sparkSums) *sparkSums { into.merge(from); return into },
 		func(s *sparkSums) int64 { return s.bytes(d) },
 	)
@@ -420,20 +399,11 @@ func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int, em
 		return jobSums{}, err
 	}
 	total := acc.Value()
-	var sums jobSums
-	if scr != nil {
-		sums = scr.sums
-		sums.ytx.Zero()
-		// Copy, not alias: total.sumX is the pooled accumulator zero, which
-		// the next pass clears while the driver still holds these sums.
-		copy(sums.sumX, total.sumX)
-	} else {
-		sums = jobSums{
-			ytx:  matrix.NewDense(dims, d),
-			xtx:  matrix.NewDense(d, d),
-			sumX: total.sumX,
-		}
-	}
+	sums := scr.sums
+	sums.ytx.Zero()
+	// Copy, not alias: total.sumX is the pooled accumulator zero, which the
+	// next pass clears while the driver still holds these sums.
+	copy(sums.sumX, total.sumX)
 	for j, v := range total.ytx {
 		copy(sums.ytx.Row(j), v)
 	}
@@ -577,7 +547,7 @@ func smartGuessSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt
 	if n >= len(rows) {
 		return nil
 	}
-	sample := sampleSparseRows(sparseFromRows(rows, dims), n, opt.Seed+0x5A)
+	sample := sampleSparseRows(matrix.SparseFromRows(rows, dims), n, opt.Seed+0x5A)
 	subOpt := opt
 	subOpt.SmartGuess = false
 	subOpt.TargetAccuracy = 0

@@ -58,7 +58,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 	for _, mv := range mean {
 		msum += mv * mv
 	}
-	sampleWant := sampleIdx(n, opt.sampleRows(), opt.Seed)
+	sampleWant := opt.errorSample(n)
 	sampleSet := make(map[int]int, len(sampleWant))
 	for k, i := range sampleWant {
 		sampleSet[i] = k
@@ -86,34 +86,15 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 		sampleRows[i] = i
 	}
 
+	// A streaming resume re-runs pass 0 above (the sample capture needs a
+	// scan regardless, and its mean/ss1 are bit-identical to the
+	// snapshot's); the round driver restores the model/guard/history state.
 	em := newEMDriver(opt, n, dims, mean, ss1)
-	res := &Result{}
-	if snap := opt.Resume; snap != nil {
-		// Streaming resume: pass 0 above is re-run (the sample capture needs
-		// a scan regardless, and its mean/ss1 are bit-identical to the
-		// snapshot's), then the model/guard/history state is restored.
-		if err := snap.Validate(n, dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		res.Metrics = snap.Metrics
-		res.Metrics.DriverRestarts++
-		em.restore(snap, res)
-	} else if opt.Incarnation > 0 {
-		res.Metrics.DriverRestarts++
-	}
-	res.Mean = mean
-
-	d := em.d
-	// The pass sums are hoisted out of the iteration loop and zeroed in place
-	// each iteration (legacy per-iteration allocation kept for A/B runs).
-	var pooled jobSums
-	if reuseScratch {
-		pooled = newJobSums(dims, d)
-	}
+	res := &Result{Mean: mean}
 	e := &streamEngine{
-		src: src, dims: dims, pooled: pooled,
+		src: src, pooled: newJobSums(dims, em.d),
 		sample: sample, sampleRows: sampleRows,
-		xi: make([]float64, d), ct: make([]float64, d),
+		xi: make([]float64, em.d), ct: make([]float64, em.d),
 	}
 	if err := runEM(em, opt, e, res); err != nil {
 		return nil, err
@@ -126,8 +107,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 // runs on the row sample captured during pass 0.
 type streamEngine struct {
 	src        matrix.RowSource
-	dims       int
-	pooled     jobSums
+	pooled     jobSums // pass sums, zeroed in place every iteration
 	sample     *matrix.Sparse
 	sampleRows []int
 	xi, ct     []float64
@@ -135,20 +115,16 @@ type streamEngine struct {
 
 func (e *streamEngine) cluster() *cluster.Cluster { return nil }
 func (e *streamEngine) faultEpoch() int64         { return 0 }
+func (e *streamEngine) setFaultEpoch(int64)       {}
 func (e *streamEngine) prepared(*emDriver)        {}
 
 func (e *streamEngine) pass(em *emDriver) (jobSums, error) {
 	// Consolidated YtX/XtX/ΣX in one sequential scan.
-	var sums jobSums
-	if reuseScratch {
-		sums = e.pooled
-		sums.ytx.Zero()
-		sums.xtx.Zero()
-		for k := range sums.sumX {
-			sums.sumX[k] = 0
-		}
-	} else {
-		sums = newJobSums(e.dims, em.d)
+	sums := e.pooled
+	sums.ytx.Zero()
+	sums.xtx.Zero()
+	for k := range sums.sumX {
+		sums.sumX[k] = 0
 	}
 	xi := e.xi
 	if err := e.src.Scan(func(i int, row matrix.SparseVector) error {

@@ -30,47 +30,26 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			trace.I("components", int64(opt.Components)), trace.I("incarnation", int64(opt.Incarnation)))
 		defer tr.End()
 	}
-	res := &Result{}
-	dr := newDriver(cl, opt, rows, dims)
-
+	// A resumed run restores the mean from its snapshot: the mean job was
+	// already paid for by the crashed incarnation.
+	var mean []float64
+	if snap := opt.Resume; snap != nil {
+		mean = snap.Mean
+	} else {
+		var err error
+		if mean, err = meanJob(eng, rows, dims); err != nil {
+			return nil, err
+		}
+	}
 	indexed := make([]indexedRow, len(rows))
 	for i, r := range rows {
 		indexed[i] = indexedRow{idx: i, row: r}
 	}
 	me := &mrEngine{
-		eng: eng, opt: opt, dims: dims, indexed: indexed,
+		eng: eng, opt: opt, dims: dims, mean: mean, indexed: indexed,
 		scr: newMRScratch(eng.NumSplits(len(rows))),
 	}
-
-	if snap := opt.Resume; snap != nil {
-		// Resume: the mean job was already paid for by the crashed
-		// incarnation and lives in the snapshot; restore its clock wholesale
-		// and replay the remaining rounds under the same fault cursor.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds)
-		eng.SetJobSeq(snap.FaultEpoch)
-		dr.restore(snap, res)
-	} else {
-		mean, err := meanJob(eng, rows, dims)
-		if err != nil {
-			return nil, err
-		}
-		dr.mean = mean
-		if opt.Incarnation > 0 {
-			// Restarted from scratch after a crash with no usable snapshot:
-			// count the restart and the previous incarnation's wasted time.
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
-	}
-	me.mean = dr.mean
-
-	if err := dr.run(me, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return RunRounds(cl, opt, rows, dims, mean, me)
 }
 
 type indexedRow struct {
@@ -96,9 +75,10 @@ type mrEngine struct {
 	qr matrix.QRWorkspace
 }
 
-func (e *mrEngine) faultEpoch() int64 { return e.eng.JobSeq() }
+func (e *mrEngine) FaultEpoch() int64       { return e.eng.JobSeq() }
+func (e *mrEngine) SetFaultEpoch(seq int64) { e.eng.SetJobSeq(seq) }
 
-func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
+func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.eng.Cluster
 	// Ω: a fresh D x k Gaussian test matrix per round, broadcast to all
 	// mappers. Independent of ssvd's draws by stream name, not by offset.

@@ -19,41 +19,31 @@
 //     recycled through freelists afterwards.
 //   - Exact tracing: every charged phase flows through the cluster, so leaf
 //     trace spans sum to the run Metrics bit for bit.
-//   - Checkpoint/resume at sketch-round granularity: with a CheckpointSpec
-//     armed, the best-of-rounds state (components, singular values, error)
-//     is snapshotted after each round and an injected driver crash resumes
-//     to a bit-identical final model.
+//   - Checkpoint/resume at sketch-round granularity: the rounds run on the
+//     shared round driver (internal/rounds), so with a CheckpointSpec armed
+//     the best-of-rounds state (components, singular values, error) is
+//     snapshotted after each round and an injected driver crash resumes to
+//     a bit-identical final model.
+//
+// RunRounds is the family's round loop; the Mahout baseline in
+// internal/ssvd runs its own pipeline through it as a RoundEngine.
 package rsvd
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
-	"time"
 
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
 	"spca/internal/matrix"
+	"spca/internal/rounds"
 	"spca/internal/trace"
 )
 
 // CheckpointSpec configures periodic driver snapshots at sketch-round
-// granularity. The zero value disables checkpointing. (This mirrors
-// ppca.CheckpointSpec; rsvd sits beside ppca in the import graph, so it
-// carries its own copy.)
-type CheckpointSpec struct {
-	// Interval snapshots after every Interval-th completed round.
-	Interval int
-	// Dir receives the snapshot files.
-	Dir string
-	// Keep bounds retained snapshot generations after each write: 0 means
-	// checkpoint.DefaultKeep, negative means unlimited.
-	Keep int
-}
-
-// Enabled reports whether checkpointing is armed.
-func (c CheckpointSpec) Enabled() bool { return c.Interval > 0 && c.Dir != "" }
+// granularity; see rounds.CheckpointSpec. The zero value disables it.
+type CheckpointSpec = rounds.CheckpointSpec
 
 // Options configures a randomized-sketch PCA run.
 type Options struct {
@@ -182,200 +172,118 @@ type Result struct {
 	Phases []cluster.PhaseSummary
 }
 
-// roundEngine is the per-platform part of a fit: one full sketch round
-// producing candidate components and singular values. faultEpoch reports the
-// engine's fault-decision cursor for checkpointing.
-type roundEngine interface {
-	round(round, k int) (*matrix.Dense, []float64, error)
-	faultEpoch() int64
+// RoundEngine is the per-platform part of a sketch fit: Round runs one full
+// sketch round of width k, producing candidate components (D x d) and
+// singular values. FaultEpoch and SetFaultEpoch expose the engine's
+// fault-decision cursor to checkpoints.
+type RoundEngine interface {
+	Round(round, k int) (*matrix.Dense, []float64, error)
+	FaultEpoch() int64
+	SetFaultEpoch(epoch int64)
 }
 
-// driver owns the platform-independent round loop: best-of-rounds selection,
-// the sampled error metric, history/tracing, checkpoint writes, and injected
-// driver crashes.
-type driver struct {
-	cl      *cluster.Cluster
-	opt     Options
-	n, dims int
-	k       int
-	mean    []float64
-	rows    []matrix.SparseVector
-	sample  []int
-	recon   *reconScratch
+// RunRounds runs eng's sketch rounds on the shared round driver until
+// MaxRounds or TargetAccuracy, keeping the best-of-rounds model on the
+// sampled reconstruction error. mean is the column mean of rows: the
+// output of the caller's mean pass, or opt.Resume's snapshot mean.
+func RunRounds(cl *cluster.Cluster, opt Options, rows []matrix.SparseVector, dims int, mean []float64, eng RoundEngine) (*Result, error) {
+	res := &Result{Mean: mean}
+	s := &sketchStep{
+		opt: opt, eng: eng, cl: cl, res: res,
+		k:    opt.sketchWidth(len(rows), dims),
+		rows: rows, dims: dims,
+		sample:  matrix.SampleIdx(matrix.NewRNG(matrix.DeriveSeed(opt.Seed, "sample", 0)), len(rows), opt.sampleRows()),
+		recon:   matrix.NewReconScratch(dims, opt.Components),
+		bestErr: math.Inf(1),
+	}
+	s.drv = &rounds.Driver{
+		Checkpoint: opt.Checkpoint, Resume: opt.Resume, Faults: opt.Faults,
+		Incarnation: opt.Incarnation, RecoveredSeconds: opt.RecoveredSeconds,
+		Interrupt: opt.Interrupt, Tracer: opt.Tracer, Cluster: cl,
+	}
+	if err := s.drv.Run(s, len(rows), dims, opt.Components, opt.Seed, opt.maxRounds()); err != nil {
+		return nil, err
+	}
+	res.Components = s.bestW
+	res.Singular = s.bestSing
+	res.Iterations = len(res.History)
+	res.Metrics = cl.Metrics()
+	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
+	return res, nil
+}
+
+// sketchStep adapts one sketch round to the round driver: best-of-rounds
+// selection on the sampled error metric (shared with the ssvd baseline, so
+// both grade themselves on the same rows), history, and tracing. The error
+// sample uses DeriveSeed's "sample" stream.
+type sketchStep struct {
+	opt    Options
+	eng    RoundEngine
+	cl     *cluster.Cluster
+	res    *Result
+	drv    *rounds.Driver
+	k      int
+	rows   []matrix.SparseVector
+	dims   int
+	sample []int
+	recon  *matrix.ReconScratch
 
 	bestErr  float64
 	bestW    *matrix.Dense
 	bestSing []float64
 }
 
-func newDriver(cl *cluster.Cluster, opt Options, rows []matrix.SparseVector, dims int) *driver {
-	return &driver{
-		cl: cl, opt: opt, n: len(rows), dims: dims,
-		k:       opt.sketchWidth(len(rows), dims),
-		rows:    rows,
-		sample:  sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
-		recon:   newReconScratch(dims, opt.Components),
-		bestErr: math.Inf(1),
-	}
-}
+// Done is false: a sketch run stops through Round's stop result.
+func (s *sketchStep) Done() bool { return false }
 
-// restore loads a validated snapshot: best-of-rounds state, mean, and
-// history. The caller restores cluster metrics and the engine fault epoch.
-func (dr *driver) restore(snap *checkpoint.Snapshot, res *Result) {
-	dr.mean = snap.Mean
-	dr.bestErr = snap.SS
-	dr.bestW = snap.C
-	dr.bestSing = snap.Singular
-	res.History = res.History[:0]
-	for _, h := range snap.History {
-		res.History = append(res.History, IterationStat{
-			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
-		})
-	}
-}
-
-// run executes sketch rounds until MaxRounds or TargetAccuracy, starting
-// after the resumed round when a snapshot was restored.
-func (dr *driver) run(eng roundEngine, res *Result) error {
-	opt := dr.opt
-	start := 1
-	if opt.Resume != nil {
-		start = opt.Resume.Iter + 1
-	}
-	for round := start; round <= opt.maxRounds(); round++ {
-		// Entry poll: a pre-canceled context (or one canceled between rounds)
-		// is observed here, with round-1 rounds completed.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return dr.abortRun(round-1, cause, eng, res, true)
-		}
-		stop, err := dr.runRound(eng, res, round)
-		if err != nil {
-			if cluster.IsInterrupt(err) {
-				// An engine phase unwound mid-round: the round is abandoned
-				// (its jobs partly charged, the engine's fault cursor
-				// mid-stream), so no fresh snapshot is written — resume
-				// redoes the round from the last periodic one.
-				return dr.abortRun(round-1, err, eng, res, false)
-			}
-			return err
-		}
-		if stop {
-			break
-		}
-		// Boundary poll: the deterministic abort point between rounds.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return dr.abortRun(round, cause, eng, res, true)
-		}
-		opt.Interrupt.Progress()
-	}
-	res.Components = dr.bestW
-	res.Singular = dr.bestSing
-	res.Mean = dr.mean
-	res.Iterations = len(res.History)
-	res.Metrics = dr.cl.Metrics()
-	res.Phases = cluster.Summarize(dr.cl.PhaseLog(), dr.cl.Config())
-	return nil
-}
-
-func (dr *driver) runRound(eng roundEngine, res *Result, round int) (bool, error) {
-	opt := dr.opt
+func (s *sketchStep) Round(round int) (bool, error) {
+	opt := s.opt
 	tr := opt.Tracer
 	if tr != nil {
 		tr.Begin("round", trace.KindIteration, trace.I("round", int64(round)))
 		defer tr.End()
 	}
-	w, sing, err := eng.round(round, dr.k)
+	w, sing, err := s.eng.Round(round, s.k)
 	if err != nil {
 		return false, err
 	}
 	// Best-of-rounds on the sampled reconstruction error (§2.3's
-	// accuracy/compute trade, shared with the ssvd baseline's metric).
-	e := dr.recon.reconstructionError(dr.rows, dr.mean, w, dr.sample)
-	if e < dr.bestErr {
-		dr.bestErr = e
-		dr.bestW = w
-		dr.bestSing = sing
+	// accuracy/compute trade).
+	if e := s.recon.Error(s.rows, s.res.Mean, w, s.sample); e < s.bestErr {
+		s.bestErr = e
+		s.bestW = w
+		s.bestSing = sing
 	}
-	acc := accuracyOf(opt, dr.bestErr)
+	acc := rounds.Accuracy(opt.IdealError, s.bestErr)
 	stat := IterationStat{
-		Iter: round, Err: dr.bestErr, Accuracy: acc, SimSeconds: dr.cl.Metrics().SimSeconds,
+		Iter: round, Err: s.bestErr, Accuracy: acc, SimSeconds: s.cl.Metrics().SimSeconds,
 	}
-	res.History = append(res.History, stat)
+	s.res.History = append(s.res.History, stat)
 	if tr != nil {
 		tr.IterationDone(trace.Iteration{
 			Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SimSeconds: stat.SimSeconds,
 		})
 	}
-	if opt.Checkpoint.Enabled() && round%opt.Checkpoint.Interval == 0 {
-		if err := dr.writeCheckpoint(eng, res, round); err != nil {
-			return false, err
-		}
-	}
-	if opt.Faults.DriverCrashAt(round, opt.Incarnation) {
-		crash := &cluster.DriverCrashError{
-			Iter: round, Incarnation: opt.Incarnation, SimSeconds: dr.cl.Metrics().SimSeconds,
-		}
-		if tr != nil {
-			tr.Event("driver-crash",
-				trace.I("iter", int64(round)), trace.I("incarnation", int64(opt.Incarnation)))
-		}
-		return false, crash
+	if err := s.drv.Commit(round); err != nil {
+		return false, err
 	}
 	return opt.TargetAccuracy > 0 && acc >= opt.TargetAccuracy, nil
 }
 
-// writeCheckpoint charges and writes one round-granularity snapshot. As in
-// the EM driver, the checkpoint cost is charged BEFORE metrics are captured,
-// so a resumed run's restored clock already includes the write it resumes
-// from.
-func (dr *driver) writeCheckpoint(eng roundEngine, res *Result, round int) error {
-	opt := dr.opt
-	snap := dr.buildSnapshot(eng, res, round)
-	dr.cl.ChargeCheckpoint(snap.CostBytes()) // emits the checkpoint span itself
-	snap.Metrics = dr.cl.Metrics()
-	if _, err := checkpoint.Save(opt.Checkpoint.Dir, snap); err != nil {
-		return fmt.Errorf("rsvd: writing checkpoint at round %d: %w", round, err)
-	}
-	// Injected storage corruption damages the file only — driver state and
-	// the simulated clock are untouched, so the run continues as if the write
-	// succeeded and only a later resume discovers the bad generation.
-	if opt.Faults.SnapshotCorrupt(round) {
-		torn := opt.Faults.SnapshotTorn(round)
-		off := opt.Faults.CorruptOffset("ckpt", round, snap.Bytes)
-		kind := int64(0)
-		if torn {
-			kind = 1
-		}
-		opt.Tracer.Event("checkpoint-corrupted",
-			trace.I("iter", int64(round)), trace.I("torn", kind), trace.I("offset", off))
-		if err := checkpoint.Corrupt(filepath.Join(opt.Checkpoint.Dir, checkpoint.FileName(round)), torn, off); err != nil {
-			return fmt.Errorf("rsvd: injecting checkpoint fault at round %d: %w", round, err)
-		}
-	}
-	if opt.Checkpoint.Keep >= 0 {
-		if err := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); err != nil {
-			return fmt.Errorf("rsvd: pruning checkpoints at round %d: %w", round, err)
-		}
-	}
-	return nil
-}
-
-// buildSnapshot assembles the best-of-rounds boundary state into a snapshot
-// (metrics are filled in by the caller, which decides whether the write is
-// charged to the simulated cluster first).
-func (dr *driver) buildSnapshot(eng roundEngine, res *Result, round int) *checkpoint.Snapshot {
-	opt := dr.opt
+// Snapshot assembles the best-of-rounds boundary state after round.
+func (s *sketchStep) Snapshot(round int) *checkpoint.Snapshot {
+	opt := s.opt
 	snap := &checkpoint.Snapshot{
 		Iter: round,
-		N:    dr.n, Dims: dr.dims, D: opt.Components, Seed: opt.Seed,
-		FaultEpoch: eng.faultEpoch(),
-		SS:         dr.bestErr,
-		Mean:       dr.mean,
-		C:          dr.bestW,
-		Singular:   dr.bestSing,
+		N:    len(s.rows), Dims: s.dims, D: opt.Components, Seed: opt.Seed,
+		FaultEpoch: s.eng.FaultEpoch(),
+		SS:         s.bestErr,
+		Mean:       s.res.Mean,
+		C:          s.bestW,
+		Singular:   s.bestSing,
 	}
-	snap.History = make([]checkpoint.HistoryEntry, len(res.History))
-	for i, h := range res.History {
+	snap.History = make([]checkpoint.HistoryEntry, len(s.res.History))
+	for i, h := range s.res.History {
 		snap.History[i] = checkpoint.HistoryEntry{
 			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
 		}
@@ -383,147 +291,17 @@ func (dr *driver) buildSnapshot(eng roundEngine, res *Result, round int) *checkp
 	return snap
 }
 
-// abortRun converts an observed interrupt into a resumable *cluster.AbortError.
-// Same determinism contract as the EM driver's counterpart (internal/ppca):
-// only a boundary abort flushes a fresh snapshot, and the flush charges
-// nothing to the simulated cluster.
-func (dr *driver) abortRun(last int, cause error, eng roundEngine, res *Result, atBoundary bool) error {
-	opt := dr.opt
-	ab := &cluster.AbortError{Iter: last, Cause: cause, SimSeconds: dr.cl.Metrics().SimSeconds}
-	if errors.Is(cause, cluster.ErrStalled) {
-		ab.Diagnostic = dr.cl.StallDiagnostic()
+// Restore loads a validated snapshot: the engine's fault cursor, the
+// best-of-rounds state, and the history (the mean is already in place).
+func (s *sketchStep) Restore(snap *checkpoint.Snapshot) {
+	s.eng.SetFaultEpoch(snap.FaultEpoch)
+	s.bestErr = snap.SS
+	s.bestW = snap.C
+	s.bestSing = snap.Singular
+	s.res.History = s.res.History[:0]
+	for _, h := range snap.History {
+		s.res.History = append(s.res.History, IterationStat{
+			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
+		})
 	}
-	if opt.Checkpoint.Enabled() {
-		switch {
-		case last > 0 && last%opt.Checkpoint.Interval == 0:
-			ab.Checkpointed = true
-		case atBoundary && last > 0:
-			if err := dr.writeFinalCheckpoint(eng, res, last); err != nil {
-				opt.Tracer.Event("final-checkpoint-failed", trace.I("iter", int64(last)))
-			} else {
-				ab.Checkpointed = true
-			}
-		default:
-			ab.Checkpointed = last >= opt.Checkpoint.Interval || opt.Resume != nil
-		}
-	}
-	ck := int64(0)
-	if ab.Checkpointed {
-		ck = 1
-	}
-	opt.Tracer.Event(cluster.AbortEventName(cause), trace.I("iter", int64(last)), trace.I("checkpointed", ck))
-	return ab
-}
-
-// Final-snapshot flush retry bounds (real time; the simulated clock is never
-// involved in abort handling).
-const (
-	finalSaveRetries = 3
-	finalSaveBackoff = 25 * time.Millisecond
-)
-
-// writeFinalCheckpoint flushes an out-of-interval snapshot at an abort
-// boundary, charging nothing to the simulated cluster: the snapshot's
-// embedded metrics equal the boundary state exactly, so a resume continues
-// bit-identically to an uninterrupted run. Real-I/O failures retry with
-// exponential backoff.
-func (dr *driver) writeFinalCheckpoint(eng roundEngine, res *Result, round int) error {
-	opt := dr.opt
-	snap := dr.buildSnapshot(eng, res, round)
-	snap.Metrics = dr.cl.Metrics()
-	var err error
-	backoff := finalSaveBackoff
-	for attempt := 0; attempt <= finalSaveRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if _, err = checkpoint.Save(opt.Checkpoint.Dir, snap); err == nil {
-			opt.Tracer.Event("final-checkpoint",
-				trace.I("iter", int64(round)), trace.I("retries", int64(attempt)))
-			if opt.Checkpoint.Keep >= 0 {
-				if perr := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); perr != nil {
-					return fmt.Errorf("rsvd: pruning checkpoints at abort: %w", perr)
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("rsvd: final checkpoint at round %d failed after %d retries: %w",
-		round, finalSaveRetries, err)
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy
-// (IdealError/err, matching the sPCA metric so traces are comparable).
-func accuracyOf(o Options, err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
-}
-
-// sampleIdx draws the sorted error-metric row sample. The "sample" stream of
-// DeriveSeed matches the ssvd baseline's, so both engines grade themselves
-// on the same rows.
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(matrix.DeriveSeed(seed, "sample", 0)).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-// reconScratch holds the error-metric buffers, allocated once per fit and
-// reused by every round's reconstructionError call.
-type reconScratch struct {
-	xi, wm, tNum, tDen []float64
-}
-
-func newReconScratch(dims, d int) *reconScratch {
-	return &reconScratch{
-		xi:   make([]float64, d),
-		wm:   make([]float64, d),
-		tNum: make([]float64, dims),
-		tDen: make([]float64, dims),
-	}
-}
-
-// reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
-// Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y []matrix.SparseVector, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	xi := rs.xi[:w.C]
-	wm := w.MulVecTInto(mean, rs.wm[:w.C])
-	tNum, tDen := rs.tNum, rs.tDen
-	for _, i := range rows {
-		row := y[i]
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := range tNum {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

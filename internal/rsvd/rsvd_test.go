@@ -76,7 +76,7 @@ func TestRSVDHalkoBound(t *testing.T) {
 	rows := dataset.Rows(y)
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	exact := newReconScratch(y.C, d).reconstructionError(rows, mean, v, sampleIdx(y.R, 256, 42))
+	exact := matrix.NewReconScratch(y.C, d).Error(rows, mean, v, matrix.SampleIdx(matrix.NewRNG(matrix.DeriveSeed(42, "sample", 0)), y.R, 256))
 	if exact <= 0 {
 		t.Fatalf("degenerate exact error %v", exact)
 	}
@@ -279,7 +279,7 @@ func TestRSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(dataset.Rows(y), mean, v, sampleIdx(y.R, 256, 42))
+	return matrix.NewReconScratch(y.C, d).Error(dataset.Rows(y), mean, v, matrix.SampleIdx(matrix.NewRNG(matrix.DeriveSeed(42, "sample", 0)), y.R, 256))
 }
 
 func TestRSVDOversampleClamped(t *testing.T) {

@@ -33,39 +33,23 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	y.Persist()
 	defer y.Unpersist()
 
-	res := &Result{}
-	dr := newDriver(cl, opt, rows, dims)
+	// A resumed run restores the mean from its snapshot; the RDD setup above
+	// had to be redone, and the round driver moves its cost to
+	// RecoverySeconds when it rewinds the clock.
+	var mean []float64
 	if snap := opt.Resume; snap != nil {
-		// Resume: the RDD setup above had to be redone by this incarnation,
-		// so its cost moves to RecoverySeconds when the clock is rewound to
-		// the snapshot's value; the mean job is restored, not re-run.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		setup := cl.Metrics().SimSeconds
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds+setup)
-		ctx.SetEpoch(snap.FaultEpoch)
-		dr.restore(snap, res)
+		mean = snap.Mean
 	} else {
-		mean, err := sparkMean(ctx, y, dims)
-		if err != nil {
+		var err error
+		if mean, err = sparkMean(ctx, y, dims); err != nil {
 			return nil, err
-		}
-		dr.mean = mean
-		if opt.Incarnation > 0 {
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
 		}
 	}
-
 	se := &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt, mean: dr.mean,
+		ctx: ctx, y: y, dims: dims, opt: opt, mean: mean,
 		parts: make([]*localSketch, y.NumPartitions()),
 	}
-	if err := dr.run(se, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return RunRounds(cl, opt, rows, dims, mean, se)
 }
 
 // sparkEngine implements one sketch round as a single RDD action plus an
@@ -82,9 +66,10 @@ type sparkEngine struct {
 	stacked *matrix.Dense // (blocks·k) x D merge target, reused per round
 }
 
-func (e *sparkEngine) faultEpoch() int64 { return e.ctx.Epoch() }
+func (e *sparkEngine) FaultEpoch() int64         { return e.ctx.Epoch() }
+func (e *sparkEngine) SetFaultEpoch(epoch int64) { e.ctx.SetEpoch(epoch) }
 
-func (e *sparkEngine) round(round, k int) (*matrix.Dense, []float64, error) {
+func (e *sparkEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.ctx.Cluster()
 	// One Ω per round, shared by every partition (the local sketches must
 	// project onto a common test matrix for their ranges to be mergeable).

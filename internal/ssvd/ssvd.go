@@ -7,16 +7,22 @@
 // mappers emit one partial block per input row with no in-mapper combining —
 // exactly the behaviour that made Mahout-PCA's mappers produce terabytes of
 // intermediate data in the paper's measurements (§5.2).
+//
+// Each refinement round is an rsvd.RoundEngine: the rounds run through
+// rsvd.RunRounds on the shared round driver (internal/rounds), which keeps
+// the best-of-rounds model, polls the run's interrupt at round boundaries,
+// and reports a cancel as a resumable *cluster.AbortError. Checkpointing
+// stays off for this baseline.
 package ssvd
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"spca/internal/cluster"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
+	"spca/internal/rsvd"
 	"spca/internal/trace"
 )
 
@@ -64,26 +70,11 @@ func DefaultOptions(d int) Options {
 }
 
 // IterationStat records accuracy after each refinement round.
-type IterationStat struct {
-	Iter       int
-	Err        float64
-	Accuracy   float64
-	SimSeconds float64
-}
+type IterationStat = rsvd.IterationStat
 
-// Result is the output of a stochastic-SVD PCA run.
-type Result struct {
-	// Components holds the d principal directions as columns (D x d).
-	Components *matrix.Dense
-	// Singular holds the corresponding singular values of the centered data.
-	Singular []float64
-	// Iterations counts refinement rounds (initial pass = 1).
-	Iterations int
-	History    []IterationStat
-	Metrics    cluster.Metrics
-	// Phases is the per-phase cost breakdown aggregated from the phase log.
-	Phases []cluster.PhaseSummary
-}
+// Result is the output of a stochastic-SVD PCA run (Mean is the mean job's
+// output).
+type Result = rsvd.Result
 
 // FitMapReduce runs the SSVD-PCA pipeline on the MapReduce engine.
 func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt Options) (*Result, error) {
@@ -105,142 +96,87 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			trace.I("components", int64(opt.Components)))
 		defer tr.End()
 	}
-	n := len(rows)
-	k := opt.Components + opt.Oversample
-	if k > dims {
-		k = dims
-	}
-	if k > n {
-		k = n
-	}
 
 	// Mahout's PCA option: compute the mean but keep it separate.
 	mean, err := meanPass(eng, rows, dims)
 	if err != nil {
 		return nil, err
 	}
-
-	sample := sampleIdx(n, opt.sampleRows(), opt.Seed)
-	maxRounds := opt.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1
-	}
-	// The indexed-row input and the error-metric buffers are built once per
-	// fit and reused by every projection/Bt job and every round's metric —
-	// the per-round jobs themselves keep Mahout's allocating emission pattern
-	// on purpose (that cost model is what the baseline measures).
+	// The indexed-row input is built once per fit and reused by every
+	// projection/Bt job — the per-round jobs themselves keep Mahout's
+	// allocating emission pattern on purpose (that cost model is what the
+	// baseline measures).
 	indexed := make([]indexedRow, len(rows))
 	for i, r := range rows {
 		indexed[i] = indexedRow{idx: i, row: r}
 	}
-	recon := newReconScratch(dims, opt.Components)
-	// One QR workspace serves every round: each Q is consumed by the next Bt
-	// job and never reaches the result.
-	var qr matrix.QRWorkspace
+	sketch := rsvd.Options{
+		Components: opt.Components, Oversample: opt.Oversample,
+		PowerIterations: opt.PowerIterations, MaxRounds: opt.MaxRounds,
+		TargetAccuracy: opt.TargetAccuracy, IdealError: opt.IdealError,
+		SampleRows: opt.SampleRows, Seed: opt.Seed, Tracer: tr,
+		Interrupt: cl.Interrupt(),
+	}
+	re := &roundEngine{eng: eng, opt: opt, dims: dims, mean: mean, indexed: indexed}
+	return rsvd.RunRounds(cl, sketch, rows, dims, mean, re)
+}
 
-	res := &Result{}
-	bestErr := math.Inf(1)
-	for round := 1; round <= maxRounds; round++ {
-		// Round-boundary poll: the jobs inside the round poll on their own
-		// (via mapred.Run), but a cancel landing between rounds should not
-		// start the next sketch.
-		if cause := cl.Interrupted(); cause != nil {
-			return nil, fmt.Errorf("ssvd: round %d: %w", round, cause)
-		}
-		// The round body runs in a closure so the round span closes on every
-		// exit path (job error or normal completion).
-		stop, err := func() (bool, error) {
-			if tr != nil {
-				tr.Begin("round", trace.KindIteration, trace.I("round", int64(round)))
-				defer tr.End()
-			}
-			// Ω: a fresh D x k Gaussian test matrix per round, broadcast to all
-			// mappers. (Mahout cannot use sPCA's smart-guess trick — its random
-			// matrix would need as many rows as the input, §5.2.)
-			omega := matrix.NormRnd(matrix.NewRNG(matrix.DeriveSeed(opt.Seed, "ssvd/omega", uint64(round))), dims, k)
-			broadcastBytes(cl, "ssvd/omega", mapred.BytesOfDense(omega))
+// roundEngine is one Mahout SSVD refinement round: a fresh Ω, the Q job, the
+// optional power iterations, the Bt job, and the small SVD on the driver.
+type roundEngine struct {
+	eng     *mapred.Engine
+	opt     Options
+	dims    int
+	mean    []float64
+	indexed []indexedRow
+	// One QR workspace serves every round: each Q is consumed by the next
+	// Bt job and never reaches the result.
+	qr matrix.QRWorkspace
+}
 
-			// Q job: project and orthonormalize. The projected matrix (N x k)
-			// is materialized to HDFS, then QR'd blockwise (one charged phase).
-			proj, err := projectJob(eng, "QJob", indexed, mean, omega)
-			if err != nil {
-				return false, err
-			}
-			q := qrPhase(cl, &qr, proj)
+func (e *roundEngine) FaultEpoch() int64       { return e.eng.JobSeq() }
+func (e *roundEngine) SetFaultEpoch(seq int64) { e.eng.SetJobSeq(seq) }
 
-			// Optional power iterations (Mahout -q): Q ← QR(Yc·(YcᵀQ)).
-			var bt *matrix.Dense
-			for p := 0; p < opt.PowerIterations; p++ {
-				bt, err = btJob(eng, indexed, dims, mean, q)
-				if err != nil {
-					return false, err
-				}
-				broadcastBytes(cl, "ssvd/bt", mapred.BytesOfDense(bt))
-				proj, err = projectJob(eng, fmt.Sprintf("PowerJob-%d", p), indexed, mean, bt)
-				if err != nil {
-					return false, err
-				}
-				q = qrPhase(cl, &qr, proj)
-			}
+func (e *roundEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
+	cl, opt, dims, mean, indexed := e.eng.Cluster, e.opt, e.dims, e.mean, e.indexed
+	// Ω: a fresh D x k Gaussian test matrix per round, broadcast to all
+	// mappers. (Mahout cannot use sPCA's smart-guess trick — its random
+	// matrix would need as many rows as the input, §5.2.)
+	omega := matrix.NormRnd(matrix.NewRNG(matrix.DeriveSeed(opt.Seed, "ssvd/omega", uint64(round))), dims, k)
+	broadcastBytes(cl, "ssvd/omega", mapred.BytesOfDense(omega))
 
-			// Bt job: Bt = Ycᵀ·Q (D x k), Mahout-style per-row emission.
-			bt, err = btJob(eng, indexed, dims, mean, q)
-			if err != nil {
-				return false, err
-			}
-			// Small SVD of Bt on the driver: PCs are Bt's left singular vectors.
-			w, s, _ := matrix.TopSVD(bt, opt.Components)
-			cl.AddDriverCompute(int64(dims) * int64(k) * int64(k))
+	// Q job: project and orthonormalize. The projected matrix (N x k) is
+	// materialized to HDFS, then QR'd blockwise (one charged phase).
+	proj, err := projectJob(e.eng, "QJob", indexed, mean, omega)
+	if err != nil {
+		return nil, nil, err
+	}
+	q := qrPhase(cl, &e.qr, proj)
 
-			// Keep the best-of-rounds components (§2.3's accuracy/compute trade).
-			e := recon.reconstructionError(rows, mean, w, sample)
-			if e < bestErr {
-				bestErr = e
-				res.Components = w
-				res.Singular = s
-			}
-			acc := accuracyOf(opt, bestErr)
-			stat := IterationStat{
-				Iter: round, Err: bestErr, Accuracy: acc, SimSeconds: cl.Metrics().SimSeconds,
-			}
-			res.History = append(res.History, stat)
-			if tr != nil {
-				tr.IterationDone(trace.Iteration{
-					Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SimSeconds: stat.SimSeconds,
-				})
-			}
-			return opt.TargetAccuracy > 0 && acc >= opt.TargetAccuracy, nil
-		}()
+	// Optional power iterations (Mahout -q): Q ← QR(Yc·(YcᵀQ)).
+	var bt *matrix.Dense
+	for p := 0; p < opt.PowerIterations; p++ {
+		bt, err = btJob(e.eng, indexed, dims, mean, q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if stop {
-			break
+		broadcastBytes(cl, "ssvd/bt", mapred.BytesOfDense(bt))
+		proj, err = projectJob(e.eng, fmt.Sprintf("PowerJob-%d", p), indexed, mean, bt)
+		if err != nil {
+			return nil, nil, err
 		}
+		q = qrPhase(cl, &e.qr, proj)
 	}
-	res.Iterations = len(res.History)
-	res.Metrics = cl.Metrics()
-	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
-	return res, nil
-}
 
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
+	// Bt job: Bt = Ycᵀ·Q (D x k), Mahout-style per-row emission.
+	bt, err = btJob(e.eng, indexed, dims, mean, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	return o.SampleRows
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy
-// (IdealError/err, matching the sPCA metric so traces are comparable).
-func accuracyOf(o Options, err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
+	// Small SVD of Bt on the driver: PCs are Bt's left singular vectors.
+	w, s, _ := matrix.TopSVD(bt, opt.Components)
+	cl.AddDriverCompute(int64(dims) * int64(k) * int64(k))
+	return w, s, nil
 }
 
 func broadcastBytes(cl *cluster.Cluster, name string, bytes int64) {
@@ -431,64 +367,4 @@ func btJob(eng *mapred.Engine, indexed []indexedRow, dims int, mean []float64, q
 	}
 	eng.Cluster.AddDriverCompute(int64(dims) * int64(k))
 	return bt, nil
-}
-
-// reconScratch holds the error-metric buffers, allocated once per fit and
-// reused by every round's reconstructionError call.
-type reconScratch struct {
-	xi, wm, tNum, tDen []float64
-}
-
-func newReconScratch(dims, d int) *reconScratch {
-	return &reconScratch{
-		xi:   make([]float64, d),
-		wm:   make([]float64, d),
-		tNum: make([]float64, dims),
-		tDen: make([]float64, dims),
-	}
-}
-
-// reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
-// Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y []matrix.SparseVector, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	xi := rs.xi[:w.C]
-	wm := w.MulVecTInto(mean, rs.wm[:w.C])
-	tNum, tDen := rs.tNum, rs.tDen
-	for _, i := range rows {
-		row := y[i]
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := range tNum {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(matrix.DeriveSeed(seed, "sample", 0)).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
 }

@@ -124,7 +124,7 @@ func TestSSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(dataset.Rows(y), mean, v, sampleIdx(y.R, 256, 42))
+	return matrix.NewReconScratch(y.C, d).Error(dataset.Rows(y), mean, v, matrix.SampleIdx(matrix.NewRNG(matrix.DeriveSeed(42, "sample", 0)), y.R, 256))
 }
 
 func TestSSVDGeneratesMoreShuffleThanItsInput(t *testing.T) {

@@ -128,11 +128,11 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		copy(comps.Row(i), v.Row(i)[:d])
 	}
 
-	y := sparseFromRows(rows, dims)
+	sample := matrix.SampleIdx(matrix.NewRNG(opt.Seed+0xACC), n, opt.sampleRows())
 	res := &Result{
 		Components: comps,
 		Singular:   s[:d],
-		Err:        reconstructionError(y, mean, comps, sampleIdx(n, opt.sampleRows(), opt.Seed)),
+		Err:        matrix.NewReconScratch(dims, d).Error(rows, mean, comps, sample),
 	}
 	res.Metrics = cl.Metrics()
 	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
@@ -303,58 +303,4 @@ func stackQR(a, b *matrix.Dense) *matrix.Dense {
 		copy(stacked.Row(a.R+i), b.Row(i))
 	}
 	return matrix.QRR(stacked)
-}
-
-// reconstructionError matches the metric of the other algorithm packages.
-func reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	k := w.C
-	xi := make([]float64, k)
-	wm := w.MulVecT(mean)
-	tNum := make([]float64, y.C)
-	tDen := make([]float64, y.C)
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

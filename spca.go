@@ -34,6 +34,7 @@ import (
 	"spca/internal/matrix"
 	"spca/internal/ppca"
 	"spca/internal/rdd"
+	"spca/internal/rounds"
 	"spca/internal/rsvd"
 	"spca/internal/ssvd"
 	"spca/internal/svdbidiag"
@@ -190,7 +191,7 @@ type FaultPlan = cluster.FaultPlan
 
 // CheckpointSpec configures periodic durable driver snapshots; see
 // Config.Checkpoint.
-type CheckpointSpec = ppca.CheckpointSpec
+type CheckpointSpec = rounds.CheckpointSpec
 
 // DriverCrashError reports an injected driver crash: the EM iteration the
 // driver completed before dying, the incarnation that crashed, and the
@@ -529,81 +530,51 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 	intr := cluster.NewInterrupt(cfg.Context, cfg.StallTimeout)
 
 	switch cfg.Algorithm {
-	case LocalPPCA:
+	case LocalPPCA, SPCAMapReduce, SPCASpark:
 		opt := cfg.ppcaOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
-			return ppca.FitLocal(y, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case SPCAMapReduce:
-		opt := cfg.ppcaOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
+		opt.Tracer, opt.Interrupt = tr, intr
+		res, err := cfg.fitPPCA(opt, func(opt ppca.Options) (*ppca.Result, error) {
+			if cfg.Algorithm == LocalPPCA {
+				return ppca.FitLocal(y, opt)
+			}
 			cl, err := cfg.newCluster(intr)
 			if err != nil {
 				return nil, err
 			}
-			return ppca.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case SPCASpark:
-		opt := cfg.ppcaOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
-			cl, err := cfg.newCluster(intr)
-			if err != nil {
-				return nil, err
+			if cfg.Algorithm == SPCAMapReduce {
+				return ppca.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 			}
 			return ppca.FitSpark(cfg.rddContext(cl), rows, y.C, opt)
 		})
 		if err != nil {
 			return nil, err
 		}
-		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
+		return attachTrace(res, col), nil
 
-	case RSVDMapReduce:
+	case RSVDMapReduce, RSVDSpark:
 		opt := cfg.rsvdOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runSketchWithResume(opt, func(opt rsvd.Options) (*rsvd.Result, error) {
+		opt.Tracer, opt.Interrupt = tr, intr
+		res, err := cfg.runWithResume(tr, func(inc incarnation) (*Result, error) {
+			opt.Incarnation, opt.Resume, opt.RecoveredSeconds = inc.n, inc.resume, inc.recovered
 			cl, err := cfg.newCluster(intr)
 			if err != nil {
 				return nil, err
 			}
-			return rsvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromRSVD(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case RSVDSpark:
-		opt := cfg.rsvdOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runSketchWithResume(opt, func(opt rsvd.Options) (*rsvd.Result, error) {
-			cl, err := cfg.newCluster(intr)
+			var r *rsvd.Result
+			if cfg.Algorithm == RSVDMapReduce {
+				r, err = rsvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
+			} else {
+				r, err = rsvd.FitSpark(cfg.sketchRDDContext(cl), rows, y.C, opt)
+			}
 			if err != nil {
 				return nil, err
 			}
-			return rsvd.FitSpark(cfg.sketchRDDContext(cl), rows, y.C, opt)
+			return fromRSVD(cfg.Algorithm, cfg.Seed, r), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return attachTrace(fromRSVD(cfg.Algorithm, cfg.Seed, res), col), nil
+		return attachTrace(res, col), nil
 
 	case MahoutPCA:
 		cl, err := cfg.newCluster(intr)
@@ -628,27 +599,8 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, normalizeInterrupt(err)
 		}
-		out := &Result{
-			Model: Model{
-				Algorithm:      cfg.Algorithm,
-				Components:     res.Components,
-				Mean:           y.ColMeans(),
-				SingularValues: res.Singular,
-				Seed:           cfg.Seed,
-				orthonormal:    true,
-			},
-			Iterations: res.Iterations,
-			Metrics:    res.Metrics,
-			phases:     res.Phases,
-		}
-		for _, h := range res.History {
-			out.History = append(out.History, IterationStat{
-				Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
-			})
-		}
-		if len(out.History) > 0 {
-			out.Err = out.History[len(out.History)-1].Err
-		}
+		out := fromRSVD(cfg.Algorithm, cfg.Seed, res)
+		out.Mean = y.ColMeans()
 		return attachTrace(out, col), nil
 
 	case MLlibPCA:
@@ -783,39 +735,53 @@ func (c Config) sketchRDDContext(cl *cluster.Cluster) *rdd.Context {
 	return ctx
 }
 
-// runWithResume executes one PPCA fit attempt per driver incarnation,
-// restarting after injected driver crashes. With checkpointing enabled the
-// next incarnation resumes from the latest snapshot (or from scratch when the
-// crash predates the first write); the wasted simulated time between the
-// snapshot and the crash is charged to the new incarnation's recovery
-// metrics. Without checkpointing a driver crash is fatal, as it is for a
-// stock Hadoop/Spark driver.
-func (c Config) runWithResume(opt ppca.Options, run func(ppca.Options) (*ppca.Result, error)) (*ppca.Result, error) {
+// incarnation is what the resume loop hands one driver incarnation: its
+// 0-based index, the snapshot it resumes from (nil for a fresh run), and the
+// simulated time the previous incarnation wasted on work this one redoes.
+type incarnation struct {
+	n         int
+	resume    *checkpoint.Snapshot
+	recovered float64
+}
+
+// runWithResume executes one fit attempt per driver incarnation for every
+// resumable algorithm, restarting after injected driver crashes. With
+// checkpointing enabled the next incarnation resumes from the latest snapshot
+// (or from scratch when the crash predates the first write); the wasted
+// simulated time between the snapshot and the crash is charged to the new
+// incarnation's recovery metrics. Without checkpointing a driver crash is
+// fatal, as it is for a stock Hadoop/Spark driver.
+func (c Config) runWithResume(tr *trace.Tracer, fit func(incarnation) (*Result, error)) (*Result, error) {
 	// A deterministic plan crashes at most once per scheduled incarnation,
 	// so this bound is never hit by a plan Fit can survive; it only guards
 	// against a runaway loop.
 	const maxRestarts = 64
 	var quarantined int64
-	if c.Resume && opt.Checkpoint.Enabled() {
-		// Explicit continuation of an earlier aborted run: start attempt 0
-		// from the latest valid snapshot. An empty directory (nothing was
-		// ever checkpointed) falls back to a fresh run.
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-		default:
-			return nil, fmt.Errorf("spca: resuming from checkpoint: %w", lerr)
+	// latest loads the newest valid snapshot (nil when none was ever
+	// written), counting the corrupt generations the scan quarantined.
+	latest := func() (*checkpoint.Snapshot, error) {
+		snap, report, err := checkpoint.LatestReport(c.Checkpoint.Dir)
+		quarantined += noteQuarantined(tr, report)
+		if errors.Is(err, checkpoint.ErrNoCheckpoint) {
+			return nil, nil
 		}
+		return snap, err
 	}
-	for attempt := 0; ; attempt++ {
-		opt.Incarnation = attempt
+	var inc incarnation
+	if c.Resume && c.Checkpoint.Enabled() {
+		// Explicit continuation of an earlier aborted run: start attempt 0
+		// from the latest valid snapshot, or fresh if there is none.
+		snap, err := latest()
+		if err != nil {
+			return nil, fmt.Errorf("spca: resuming from checkpoint: %w", err)
+		}
+		inc.resume = snap
+	}
+	for ; ; inc.n++ {
 		// Spans from a resumed incarnation land on their own lane so crashed
 		// and resumed work stay distinguishable in exported traces.
-		opt.Tracer.SetLane(attempt)
-		res, err := run(opt)
+		tr.SetLane(inc.n)
+		res, err := fit(inc)
 		err = normalizeInterrupt(err)
 		var crash *cluster.DriverCrashError
 		if err == nil || !errors.As(err, &crash) {
@@ -829,29 +795,38 @@ func (c Config) runWithResume(opt ppca.Options, run func(ppca.Options) (*ppca.Re
 			}
 			return res, err
 		}
-		if !opt.Checkpoint.Enabled() {
+		if !c.Checkpoint.Enabled() {
 			return nil, err
 		}
-		if attempt >= maxRestarts {
-			return nil, fmt.Errorf("spca: driver crashed %d times, giving up: %w", attempt+1, err)
+		if inc.n >= maxRestarts {
+			return nil, fmt.Errorf("spca: driver crashed %d times, giving up: %w", inc.n+1, err)
 		}
-		opt.Resume = nil
-		opt.RecoveredSeconds = crash.SimSeconds // scratch restart wastes the whole incarnation
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-			opt.RecoveredSeconds = 0
-			if waste := crash.SimSeconds - snap.Metrics.SimSeconds; waste > 0 {
-				opt.RecoveredSeconds = waste
-			}
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-			// Crash before the first snapshot: restart from scratch.
-		default:
+		snap, lerr := latest()
+		if lerr != nil {
 			return nil, fmt.Errorf("spca: resuming after driver crash: %w", lerr)
 		}
+		// A scratch restart (no snapshot yet) wastes the whole incarnation.
+		inc.resume, inc.recovered = snap, crash.SimSeconds
+		if snap != nil {
+			inc.recovered = 0
+			if waste := crash.SimSeconds - snap.Metrics.SimSeconds; waste > 0 {
+				inc.recovered = waste
+			}
+		}
 	}
+}
+
+// fitPPCA runs a PPCA engine under the resume loop: fit runs one driver
+// incarnation with opt carrying that incarnation's resume state.
+func (c Config) fitPPCA(opt ppca.Options, fit func(ppca.Options) (*ppca.Result, error)) (*Result, error) {
+	return c.runWithResume(opt.Tracer, func(inc incarnation) (*Result, error) {
+		opt.Incarnation, opt.Resume, opt.RecoveredSeconds = inc.n, inc.resume, inc.recovered
+		res, err := fit(opt)
+		if err != nil {
+			return nil, err
+		}
+		return fromPPCA(c.Algorithm, c.Seed, res), nil
+	})
 }
 
 // normalizeInterrupt gives every interrupt observed by a fit the same shape.
@@ -883,61 +858,6 @@ func noteQuarantined(tr *trace.Tracer, report *checkpoint.ScanReport) int64 {
 	return int64(len(report.Quarantined))
 }
 
-// runSketchWithResume is runWithResume for the randomized-sketch family:
-// one rsvd fit attempt per driver incarnation, resuming from the latest
-// round-granularity snapshot after an injected driver crash.
-func (c Config) runSketchWithResume(opt rsvd.Options, run func(rsvd.Options) (*rsvd.Result, error)) (*rsvd.Result, error) {
-	const maxRestarts = 64
-	var quarantined int64
-	if c.Resume && opt.Checkpoint.Enabled() {
-		// Explicit continuation of an earlier aborted run (see runWithResume).
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-		default:
-			return nil, fmt.Errorf("spca: resuming from checkpoint: %w", lerr)
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		opt.Incarnation = attempt
-		opt.Tracer.SetLane(attempt)
-		res, err := run(opt)
-		err = normalizeInterrupt(err)
-		var crash *cluster.DriverCrashError
-		if err == nil || !errors.As(err, &crash) {
-			if err == nil {
-				res.Metrics.CorruptPayloads += quarantined
-			}
-			return res, err
-		}
-		if !opt.Checkpoint.Enabled() {
-			return nil, err
-		}
-		if attempt >= maxRestarts {
-			return nil, fmt.Errorf("spca: driver crashed %d times, giving up: %w", attempt+1, err)
-		}
-		opt.Resume = nil
-		opt.RecoveredSeconds = crash.SimSeconds // scratch restart wastes the whole incarnation
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-			opt.RecoveredSeconds = 0
-			if waste := crash.SimSeconds - snap.Metrics.SimSeconds; waste > 0 {
-				opt.RecoveredSeconds = waste
-			}
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-			// Crash before the first snapshot: restart from scratch.
-		default:
-			return nil, fmt.Errorf("spca: resuming after driver crash: %w", lerr)
-		}
-	}
-}
-
 // rsvdOptions maps the user-facing Config onto the sketch-engine options.
 func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 	opt := rsvd.DefaultOptions(c.Components)
@@ -953,7 +873,7 @@ func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 		opt.TargetAccuracy = c.TargetAccuracy
 		opt.IdealError = ppca.IdealError(y, c.Components, c.ppcaBaseOptions())
 	}
-	opt.Checkpoint = rsvd.CheckpointSpec{Interval: c.Checkpoint.Interval, Dir: c.Checkpoint.Dir, Keep: c.Checkpoint.Keep}
+	opt.Checkpoint = c.Checkpoint
 	opt.Faults = c.Faults
 	return opt
 }
@@ -1103,6 +1023,7 @@ func FitStreamFileConfig(path string, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s is %d x %d", ErrEmptyInput, path, n, dims)
 	}
 	cfg = cfg.normalize(dims)
+	cfg.Algorithm = LocalPPCA // the streamed fit is single-machine PPCA
 	tr, col := cfg.tracer()
 	opt := cfg.ppcaBaseOptions()
 	// Passed through so ppca.FitStream reports its "accuracy targets need
@@ -1110,13 +1031,13 @@ func FitStreamFileConfig(path string, cfg Config) (*Result, error) {
 	opt.TargetAccuracy = cfg.TargetAccuracy
 	opt.Tracer = tr
 	opt.Interrupt = cluster.NewInterrupt(cfg.Context, cfg.StallTimeout)
-	res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
+	res, err := cfg.fitPPCA(opt, func(opt ppca.Options) (*ppca.Result, error) {
 		return ppca.FitStream(src, opt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := attachTrace(fromPPCA(LocalPPCA, cfg.Seed, res), col)
+	out := attachTrace(res, col)
 	out.SkippedRecords = src.Skipped()
 	return out, nil
 }
