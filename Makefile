@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race deprecated-check serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
 
-check: vet build deprecated-check test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
 
 vet:
 	$(GO) vet ./...
@@ -16,21 +16,13 @@ test:
 	$(GO) test ./...
 
 # The two distributed engines run real goroutines; keep them race-clean,
-# along with the kernel worker pool, the sketch engines that fan out across
-# both platforms, and the round driver (internal/rounds, plus the EM engines'
-# crash/resume suites in internal/ppca), whose interrupt is set from the
-# context and watchdog goroutines while the driver polls it.
+# along with the kernel worker pool and the pooled-body kernels that many
+# goroutines call at once (internal/matrix), the sketch engines that fan out
+# across both platforms, and the round driver (internal/rounds, plus the EM
+# engines' crash/resume suites in internal/ppca), whose interrupt is set from
+# the context and watchdog goroutines while the driver polls it.
 race:
-	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/rsvd ./internal/serve ./internal/rounds ./internal/ppca
-
-# Vet-style grep gate: cmd/, examples/, and internal/ must use the Config
-# forms, not the deprecated positional wrappers (which survive only for the
-# root package's compatibility tests). The regex requires the call paren so
-# FitMissingConfig/FitStreamFileConfig don't match.
-deprecated-check:
-	@! grep -rn --include='*.go' -E 'spca\.(FitMissing|FitStreamFile)\(' cmd examples internal \
-		|| { echo "deprecated-check: migrate the calls above to the Config forms"; exit 1; }
-	@echo "deprecated-check: no deprecated wrapper calls outside the root package"
+	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/matrix ./internal/rsvd ./internal/serve ./internal/rounds ./internal/ppca
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.

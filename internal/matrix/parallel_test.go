@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"spca/internal/parallel"
@@ -192,6 +194,88 @@ func TestReconTermsMatchesSequentialLoop(t *testing.T) {
 		}
 		if num[j] != wantNum || den[j] != wantDen {
 			t.Fatalf("column %d: got (%v,%v) want (%v,%v)", j, num[j], den[j], wantNum, wantDen)
+		}
+	}
+}
+
+// TestConcurrentKernelCallers runs the pooled-body kernels from several
+// goroutines at once, the way serving and the simulated map tasks call them,
+// with chunked execution forced on every call. Each goroutine owns its
+// outputs and SPDWorkspace and shares the read-only operands; every result
+// must match the sequential reference bit for bit.
+func TestConcurrentKernelCallers(t *testing.T) {
+	rng := NewRNG(23)
+	withZeros := func(m *Dense) *Dense {
+		for i := 0; i < len(m.Data); i += 7 {
+			m.Data[i] = 0
+		}
+		return m
+	}
+	a := withZeros(NormRnd(rng, 96, 64))
+	b := NormRnd(rng, 64, 24)
+	tall := withZeros(NormRnd(rng, 200, 24))
+	tallB := NormRnd(rng, 200, 16)
+	bt := NormRnd(rng, 50, 64)
+	g := NormRnd(rng, 40, 24)
+	spd := g.MulT(g).AddScaledIdentity(0.5)
+	rhs := NormRnd(rng, 96, 24)
+
+	type outs struct{ mul, mulT, mulBT, solve *Dense }
+	run := func(o outs, ws *SPDWorkspace) error {
+		a.MulInto(b, o.mul)
+		tall.MulTInto(tallB, o.mulT)
+		a.MulBTInto(bt, o.mulBT)
+		return SolveSPDInto(spd, rhs, o.solve, ws)
+	}
+	newOuts := func() outs {
+		return outs{NewDense(96, 24), NewDense(24, 16), NewDense(96, 50), NewDense(96, 24)}
+	}
+
+	parallel.SetSequential(true)
+	want := newOuts()
+	var wantWS SPDWorkspace
+	err := run(want, &wantWS)
+	parallel.SetSequential(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	parallel.SetWorkers(4)
+	defer parallel.SetWorkers(0)
+	const callers, rounds = 6, 10
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		go func() {
+			got := newOuts()
+			var ws SPDWorkspace
+			for r := 0; r < rounds; r++ {
+				if err := run(got, &ws); err != nil {
+					errs <- err
+					return
+				}
+				for _, p := range []struct {
+					name      string
+					got, want *Dense
+				}{
+					{"MulInto", got.mul, want.mul},
+					{"MulTInto", got.mulT, want.mulT},
+					{"MulBTInto", got.mulBT, want.mulBT},
+					{"SolveSPDInto", got.solve, want.solve},
+				} {
+					for i, v := range p.want.Data {
+						if math.Float64bits(p.got.Data[i]) != math.Float64bits(v) {
+							errs <- fmt.Errorf("%s round %d: element %d is %v, sequential %v", p.name, r, i, p.got.Data[i], v)
+							return
+						}
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

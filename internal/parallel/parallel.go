@@ -65,63 +65,11 @@ type Runner interface {
 	Run(lo, hi int)
 }
 
-// ForRunner is For with the chunk body passed as a Runner instead of a
-// closure. Chunking, scheduling, and the bit-reproducibility contract are
-// identical to For; the only difference is that the inline fast path performs
-// no allocation at the call site.
-func ForRunner(n, grain int, r Runner) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := Workers()
-	if sequential.Load() || workers == 1 || n <= grain {
-		r.Run(0, n)
-		return
-	}
-	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
-	if chunk < grain {
-		chunk = grain
-	}
-	chunks := (n + chunk - 1) / chunk
-	if chunks <= 1 {
-		r.Run(0, n)
-		return
-	}
-	if chunks < workers {
-		workers = chunks
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if aborted() {
-				return
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			r.Run(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-}
+// funcRunner lets For hand its closure to the scheduler as a Runner; a func
+// value is pointer-shaped, so the conversion allocates nothing.
+type funcRunner func(lo, hi int)
+
+func (f funcRunner) Run(lo, hi int) { f(lo, hi) }
 
 // For splits [0, n) into contiguous chunks of at least grain indices and runs
 // fn(lo, hi) once per chunk, possibly concurrently. fn must only write state
@@ -133,7 +81,24 @@ func ForRunner(n, grain int, r Runner) {
 // Pick grain so a chunk amortizes scheduling: tens of microseconds of work.
 // Note the closure itself still escapes (see Runner); allocation-sensitive
 // callers use ForRunner.
-func For(n, grain int, fn func(lo, hi int)) {
+func For(n, grain int, fn func(lo, hi int)) { schedule(n, grain, funcRunner(fn), nil) }
+
+// ForRunner is For with the chunk body passed as a Runner instead of a
+// closure. Chunking, scheduling, and the bit-reproducibility contract are
+// identical to For; the only difference is that the inline fast path performs
+// no allocation at the call site.
+func ForRunner(n, grain int, r Runner) { schedule(n, grain, r, nil) }
+
+// ForWorker is For with the executing worker's index (0 <= w < Workers())
+// passed to fn, so fn can index per-worker scratch without synchronization.
+// The same bit-reproducibility contract as For applies; in particular the
+// values fn computes must not depend on which worker ran the chunk, which
+// holds whenever per-worker scratch is fully initialized before it is read.
+func ForWorker(n, grain int, fn func(worker, lo, hi int)) { schedule(n, grain, nil, fn) }
+
+// schedule is the one chunk scheduler behind For, ForRunner and ForWorker.
+// The body is fw when it is set, else r; only fw sees the worker index.
+func schedule(n, grain int, r Runner, fw func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -142,7 +107,7 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 	workers := Workers()
 	if sequential.Load() || workers == 1 || n <= grain {
-		fn(0, n)
+		runChunk(r, fw, 0, 0, n)
 		return
 	}
 	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
@@ -151,38 +116,55 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 	chunks := (n + chunk - 1) / chunk
 	if chunks <= 1 {
-		fn(0, n)
+		runChunk(r, fw, 0, 0, n)
 		return
 	}
 	if chunks < workers {
 		workers = chunks
 	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if aborted() {
-				return
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
+	d := &dispatch{r: r, fw: fw, n: n, chunk: chunk}
+	d.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			run()
+			defer d.wg.Done()
+			d.work(w)
 		}()
 	}
-	run()
-	wg.Wait()
+	d.work(0)
+	d.wg.Wait()
+}
+
+// dispatch is the state one multi-worker schedule call shares with its
+// workers, kept in one allocation.
+type dispatch struct {
+	r        Runner
+	fw       func(worker, lo, hi int)
+	n, chunk int
+	next     atomic.Int64 // index of the next unclaimed chunk
+	wg       sync.WaitGroup
+}
+
+// work claims chunks in ascending order until they run out or the abort
+// flag trips, checking the flag before every claim.
+func (d *dispatch) work(w int) {
+	for !aborted() {
+		lo := (int(d.next.Add(1)) - 1) * d.chunk
+		if lo >= d.n {
+			return
+		}
+		hi := lo + d.chunk
+		if hi > d.n {
+			hi = d.n
+		}
+		runChunk(d.r, d.fw, w, lo, hi)
+	}
+}
+
+// runChunk runs one chunk on whichever body schedule was given.
+func runChunk(r Runner, fw func(worker, lo, hi int), w, lo, hi int) {
+	if fw != nil {
+		fw(w, lo, hi)
+		return
+	}
+	r.Run(lo, hi)
 }

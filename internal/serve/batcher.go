@@ -53,7 +53,7 @@ func grow(s []float64, n int) []float64 {
 // the loop drains the whole queue, groups adjacent requests that share a
 // (model entry, op, width) key, copies each group into one scratch matrix,
 // runs ONE TransformDenseInto/ReconstructInto over it, and scatters the rows
-// back with parallel.ForWorker. Scratch matrices grow to the peak batch size
+// back with parallel.ForRunner. Scratch matrices grow to the peak batch size
 // and are reused, so a warm batcher performs no allocation per request.
 type batcher struct {
 	mu     sync.Mutex

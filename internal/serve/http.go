@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -70,14 +71,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeRows validates a projection body into a dense row-major batch.
-func decodeRows(r *http.Request) (*projectRequest, []float64, int, error) {
+// decodeRows validates a projection body into a dense row-major batch. The
+// body is read through the binary protocol's maxFrame bound, so a client
+// cannot make the server buffer an unbounded JSON document.
+func decodeRows(w http.ResponseWriter, r *http.Request) (*projectRequest, []float64, int, error) {
 	if r.Method != http.MethodPost {
 		return nil, nil, 0, fmt.Errorf("POST only")
 	}
 	var req projectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return nil, nil, 0, fmt.Errorf("bad JSON: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFrame)).Decode(&req); err != nil {
+		return nil, nil, 0, fmt.Errorf("bad JSON: %w", err)
 	}
 	if len(req.Rows) == 0 {
 		return nil, nil, 0, fmt.Errorf("empty rows")
@@ -96,6 +99,17 @@ func decodeRows(r *http.Request) (*projectRequest, []float64, int, error) {
 	return &req, flat, cols, nil
 }
 
+// decodeError answers a decodeRows failure: 413 for a body over the bound,
+// 400 for anything else.
+func decodeError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "%v", err)
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -109,9 +123,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // project serves transform and reconstruct through the shared batcher.
 func (s *Server) project(w http.ResponseWriter, r *http.Request, o op, ep endpoint) {
-	req, flat, cols, err := decodeRows(r)
+	req, flat, cols, err := decodeRows(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		decodeError(w, err)
 		return
 	}
 	entry, err := s.resolve(req.Version)
@@ -152,9 +166,9 @@ func (s *Server) project(w http.ResponseWriter, r *http.Request, o op, ep endpoi
 // batch of data rows. Not batched: it is a whole-matrix statistic, not a
 // per-row projection.
 func (s *Server) explainedVariance(w http.ResponseWriter, r *http.Request) {
-	req, flat, cols, err := decodeRows(r)
+	req, flat, cols, err := decodeRows(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		decodeError(w, err)
 		return
 	}
 	entry, err := s.resolve(req.Version)

@@ -275,6 +275,35 @@ func TestHTTPTransformMatchesModel(t *testing.T) {
 	}
 }
 
+// spaceReader yields n bytes of JSON whitespace without holding them.
+type spaceReader struct{ n int }
+
+func (r *spaceReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), r.n)]
+	for i := range p {
+		p[i] = ' '
+	}
+	r.n -= len(p)
+	return len(p), nil
+}
+
+// TestHTTPBodyOverBoundIs413 posts a syntactically valid JSON document one
+// maxFrame of whitespace long: the server must stop reading at the bound and
+// answer 413 instead of buffering the whole body.
+func TestHTTPBodyOverBoundIs413(t *testing.T) {
+	srv, _ := newTestServer(t, testModel(12, 3, 7))
+	body := io.MultiReader(strings.NewReader(`{"rows": [[1`), &spaceReader{n: maxFrame}, strings.NewReader(`]]}`))
+	req := httptest.NewRequest(http.MethodPost, "/v1/transform", body)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-bound body returned %d %s, want 413", rec.Code, rec.Body.Bytes())
+	}
+}
+
 func toRows(flat []float64, cols int) [][]float64 {
 	out := make([][]float64, len(flat)/cols)
 	for i := range out {

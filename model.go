@@ -273,16 +273,6 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// SaveModel writes the fitted model to w.
-//
-// Deprecated: use Model.Save (promoted through Result).
-func (m *Model) SaveModel(w io.Writer) error { return m.Save(w) }
-
-// SaveModelFile writes the fitted model to path.
-//
-// Deprecated: use Model.SaveFile (promoted through Result).
-func (m *Model) SaveModelFile(path string) error { return m.SaveFile(path) }
-
 // LoadModel reads a model previously written with Save. The returned Model
 // supports Transform, Reconstruct and ExplainedVariance; fit history and
 // metrics belong to the fitting run's Result, not the model.

@@ -17,7 +17,7 @@ func TestModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.SaveModel(&buf); err != nil {
+	if err := res.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadModel(&buf)
@@ -59,7 +59,7 @@ func TestModelFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.spca")
-	if err := res.SaveModelFile(path); err != nil {
+	if err := res.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadModelFile(path)

@@ -47,7 +47,7 @@ var (
 	// ErrEmptyInput rejects a nil or zero-sized input matrix.
 	ErrEmptyInput = errors.New("spca: empty input matrix")
 	// ErrNonFiniteInput rejects NaN/Inf values in the input. This is distinct
-	// from FitMissing, which interprets NaN in a *dense* matrix as a
+	// from FitMissingConfig, which interprets NaN in a *dense* matrix as a
 	// missing-entry marker; the sparse fit paths require finite data.
 	ErrNonFiniteInput = errors.New("spca: input contains non-finite values")
 	// ErrBadConfig rejects out-of-range Config fields.
@@ -478,7 +478,7 @@ func validateInput(y *Sparse) error {
 	}
 	for _, v := range y.Vals {
 		if v != v || math.IsInf(v, 0) {
-			return fmt.Errorf("%w (found %v; FitMissing accepts NaN-marked dense matrices)", ErrNonFiniteInput, v)
+			return fmt.Errorf("%w (found %v; FitMissingConfig accepts NaN-marked dense matrices)", ErrNonFiniteInput, v)
 		}
 	}
 	return nil
@@ -959,7 +959,7 @@ func fromPPCA(alg Algorithm, seed uint64, res *ppca.Result) *Result {
 	return out
 }
 
-// MissingResult is the output of FitMissing.
+// MissingResult is the output of FitMissingConfig.
 type MissingResult = ppca.MissingResult
 
 // validateDenseInput performs the typed input checks for the dense
@@ -994,13 +994,6 @@ func FitMissingConfig(y *Dense, cfg Config) (*MissingResult, error) {
 	}
 	cfg = cfg.normalize(y.C)
 	return ppca.FitMissing(y, cfg.ppcaBaseOptions())
-}
-
-// FitMissing is the positional-argument form of FitMissingConfig.
-//
-// Deprecated: use FitMissingConfig, which accepts the full Config.
-func FitMissing(y *Dense, components, maxIter int, seed uint64) (*MissingResult, error) {
-	return FitMissingConfig(y, Config{Components: components, MaxIter: maxIter, Seed: seed})
 }
 
 // FitStreamFileConfig fits PPCA over a disk-resident spmx matrix without
@@ -1040,13 +1033,6 @@ func FitStreamFileConfig(path string, cfg Config) (*Result, error) {
 	out := attachTrace(res, col)
 	out.SkippedRecords = src.Skipped()
 	return out, nil
-}
-
-// FitStreamFile is the positional-argument form of FitStreamFileConfig.
-//
-// Deprecated: use FitStreamFileConfig, which accepts the full Config.
-func FitStreamFile(path string, components, maxIter int, seed uint64) (*Result, error) {
-	return FitStreamFileConfig(path, Config{Components: components, MaxIter: maxIter, Seed: seed})
 }
 
 // MixtureResult is the output of FitMixture.
