@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
 
-check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench-smoke bench-compare-smoke
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +60,14 @@ fuzz-smoke:
 # the in-memory collector's; then validate the Chrome trace_event export.
 trace-smoke:
 	$(GO) test -count=1 -run 'TestTraceSmoke' .
+
+# Self-tests of the repository benchmark (perfbench/, a module of its own):
+# each workload once at tiny sizes, checking the pinned fingerprints and
+# SimSeconds in perfbench/pins.json, that every metric BENCHMARK.json names is
+# emitted with its unit, and that a corrupted pin or a tampered serve response
+# fails the run.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -12,6 +12,22 @@
 // -time charges, trace spans, and fault/corruption behavior are bit-identical
 // to the generic path (dense_test.go pins metrics equality under fault plans;
 // the golden fingerprint suites pin end-to-end model identity).
+//
+// Accumulate in place. A stateful in-mapper combiner need not keep its own
+// copy of its partials and emit them from Cleanup: RowEmitter.Row hands it
+// key k's row inside the task's slab, zeroed and accounted at first touch,
+// and the mapper folds every later contribution straight into it. The slab
+// row is then the task's one copy of that partial, and it is what the
+// shuffle reads. Three rules keep this exact:
+//   - the row's modeled size (ValueBytes) depends only on its length, so the
+//     bytes and digest stamped at claim time still hold after accumulation;
+//   - a row is valid only until the next claim of a new key in the task,
+//     because growing the slab moves its storage;
+//   - a retried attempt rewinds the slab, so the fresh mapper re-claims every
+//     row zeroed and recomputes it from its input split.
+//
+// The generic path (Engine.DisableDense) hands out a row held in the
+// emitter's value map instead, so both paths produce the same bits.
 package mapred
 
 import (
@@ -291,12 +307,7 @@ func (em *denseEmitter[V]) reset() {
 
 func (em *denseEmitter[V]) Emit(k int, v V) {
 	s := em.slab
-	spec := s.spec
-	slot := k - spec.MinKey
-	if slot < 0 || slot >= spec.Keys {
-		panic(fmt.Sprintf("mapred: job %q emitted key %d outside its DenseSpec range [%d,%d)",
-			em.name, k, spec.MinKey, spec.MinKey+spec.Keys))
-	}
+	slot := em.slot(k)
 	if o := s.off[slot]; o >= 0 {
 		if em.combine == nil {
 			panic(fmt.Sprintf("mapred: job %q emitted key %d twice in one task without a Combine",
@@ -305,18 +316,84 @@ func (em *denseEmitter[V]) Emit(k int, v V) {
 		em.cd.merge(s.data[o:int(o)+int(s.n[slot])], v, em.combine)
 		return
 	}
-	w := em.cd.width(v)
-	if maxW := spec.widthOf(slot); w > maxW {
+	row := em.claim(slot, k, em.cd.width(v))
+	em.cd.store(row, v)
+	em.account(k, row)
+}
+
+// Row implements RowEmitter on the slab: the key's row is claimed in the
+// task's shuffle slab, zeroed, and accounted at first touch, and the mapper
+// accumulates into it there. The accounting is exact because the modeled
+// value size depends only on the row's length, never on what it holds.
+func (em *denseEmitter[V]) Row(k, width int) []float64 {
+	s := em.slab
+	slot := em.slot(k)
+	if o := s.off[slot]; o >= 0 {
+		if int(s.n[slot]) != width {
+			panic(fmt.Sprintf("mapred: job %q asked for a width-%d row for key %d holding %d",
+				em.name, width, k, s.n[slot]))
+		}
+		return s.data[o : int(o)+width : int(o)+width]
+	}
+	if em.combine == nil {
+		panic(fmt.Sprintf("mapred: job %q called Row without a Combine", em.name))
+	}
+	row := em.claim(slot, k, width)
+	clear(row)
+	em.account(k, row)
+	return row
+}
+
+// slot maps key k to its slab slot, panicking outside the spec's range.
+func (em *denseEmitter[V]) slot(k int) int {
+	spec := em.slab.spec
+	slot := k - spec.MinKey
+	if slot < 0 || slot >= spec.Keys {
+		panic(fmt.Sprintf("mapred: job %q emitted key %d outside its DenseSpec range [%d,%d)",
+			em.name, k, spec.MinKey, spec.MinKey+spec.Keys))
+	}
+	return slot
+}
+
+// claim reserves key k's first, w-long row in the slab.
+func (em *denseEmitter[V]) claim(slot, k, w int) []float64 {
+	s := em.slab
+	if maxW := s.spec.widthOf(slot); w > maxW {
 		panic(fmt.Sprintf("mapred: job %q emitted a width-%d value for key %d; DenseSpec allows %d",
 			em.name, w, k, maxW))
 	}
 	row := s.claim(slot, w)
-	em.cd.store(row, v)
 	s.n[slot] = int32(w)
+	return row[:w:w]
+}
+
+// account folds a freshly claimed row's modeled size into the slab's bytes
+// and digest.
+func (em *denseEmitter[V]) account(k int, row []float64) {
+	s := em.slab
 	kb, vb := em.kb(k), em.vb(em.cd.view(row))
 	s.bytes += kb + vb
 	s.dig.Add(kb, vb)
 }
+
+// TaskEmitter is one map task's flat-slab emitter outside any Run: the
+// emitter a mapper sees inside a dense []float64 job, for driving a mapper in
+// isolation (the steady-state allocation tests). Reset rewinds it the way a
+// retried attempt is rewound, keeping the slab's storage.
+type TaskEmitter struct{ denseEmitter[[]float64] }
+
+// NewTaskEmitter returns a TaskEmitter over a fresh slab of spec whose
+// repeated emits merge through combine.
+func NewTaskEmitter(spec *DenseSpec, combine func(a, b []float64) []float64) *TaskEmitter {
+	slab := &denseSlab{}
+	slab.prepare(spec)
+	return &TaskEmitter{denseEmitter[[]float64]{
+		name: "task", slab: slab, combine: combine, cd: vecCodec, kb: BytesOfInt, vb: BytesOfVec,
+	}}
+}
+
+// Reset rewinds the emitter for a fresh attempt.
+func (t *TaskEmitter) Reset() { t.reset() }
 
 // slabPayload recomputes a slab's modeled wire size and digest by walking
 // its touched slots — the consume-side verification mirroring payloadSize on
@@ -562,9 +639,9 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 		redTasks = 1
 	}
 	redPhase := fmt.Sprintf("%s#%d/reduce", job.Name, seq)
-	result := make(map[int]V, len(keys))
-	var resMu sync.Mutex
-	var redOps, outBytes int64
+	// Reduce outputs in key order: each task writes its own range, and a
+	// retried attempt overwrites it, so no per-task map is needed.
+	results := make([]V, len(keys))
 	type redOut struct {
 		att    int
 		ops    int64
@@ -597,6 +674,7 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 				lo := task * len(keys) / redTasks
 				hi := (task + 1) * len(keys) / redTasks
 				taskKeys := keys[lo:hi]
+				taskRes := results[lo:hi]
 				tf := &redFaults[task]
 				// Per-key value gather, in map-task order (the same order the
 				// generic shuffle builds its groups in), reused across keys.
@@ -607,8 +685,7 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 					oc.n = 0
 					var taskBytes int64
 					var dig cluster.PayloadDigest
-					partial := make(map[int]V, len(taskKeys))
-					for _, k := range taskKeys {
+					for i, k := range taskKeys {
 						slot := k - spec.MinKey
 						vals = vals[:0]
 						for _, s := range slabs {
@@ -620,7 +697,7 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 						kb, rb := kbf(k), rbf(r)
 						taskBytes += rb
 						dig.Add(kb, rb)
-						partial[k] = r
+						taskRes[i] = r
 					}
 					if plan.AttemptFails(redPhase, task, att) {
 						tf.failed++
@@ -628,13 +705,6 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 						continue
 					}
 					tf.chargeStraggler(plan, redPhase, task, att, oc.n)
-					resMu.Lock()
-					for k, r := range partial {
-						result[k] = r
-					}
-					redOps += oc.n
-					outBytes += taskBytes
-					resMu.Unlock()
 					redOuts[task] = redOut{att: att, ops: oc.n, bytes: taskBytes, digest: dig.Sum()}
 					committed = true
 				}
@@ -645,6 +715,11 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 		}()
 	}
 	redWg.Wait()
+	var redOps, outBytes int64
+	for t := range redOuts {
+		redOps += redOuts[t].ops
+		outBytes += redOuts[t].bytes
+	}
 	redStats := cluster.PhaseStats{
 		Name:              job.Name + "/reduce",
 		ComputeOps:        redOps,
@@ -672,8 +747,8 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 		hi := (t + 1) * len(keys) / redTasks
 		var tb int64
 		var dig cluster.PayloadDigest
-		for _, k := range keys[lo:hi] {
-			kb, rb := kbf(k), rbf(result[k])
+		for i := lo; i < hi; i++ {
+			kb, rb := kbf(keys[i]), rbf(results[i])
 			tb += rb
 			dig.Add(kb, rb)
 		}
@@ -698,6 +773,10 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 	e.Cluster.RunPhase(redStats)
 	if tr != nil {
 		tr.End(trace.I("reducers", int64(redTasks)), trace.I("shuffle_bytes", shuffleBytes))
+	}
+	result := make(map[int]V, len(keys))
+	for i, k := range keys {
+		result[k] = results[i]
 	}
 	return result, nil
 }

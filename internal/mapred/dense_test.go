@@ -345,4 +345,79 @@ func TestDensePanics(t *testing.T) {
 	mustPanic("over-wide", func() { em.Emit(0, []float64{1, 2, 3}) })
 	em.Emit(1, []float64{1, 2})
 	mustPanic("dup-no-combine", func() { em.Emit(1, []float64{3, 4}) })
+	mustPanic("row-no-combine", func() { em.Row(2, 2) })
+	em.combine = func(a, b []float64) []float64 { return a }
+	em.Row(2, 2)
+	mustPanic("row-width-mismatch", func() { em.Row(2, 1) })
+	mustPanic("row-over-wide", func() { em.Row(3, 3) })
+	gen := newEmitter[int, []float64](nil)
+	mustPanic("generic-row-no-combine", func() { gen.Row(0, 2) })
+}
+
+// denseRowJob is denseVecJob with a mapper that accumulates in place through
+// RowEmitter.Row instead of emitting a fresh vector per record. The name is
+// kept so both jobs draw the same faults.
+func denseRowJob(keys, d int) Job[int, int, []float64, []float64] {
+	job := denseVecJob(keys, d)
+	job.NewMapper = func(task int) Mapper[int, int, []float64] {
+		return MapperFunc[int, int, []float64](func(rec int, out Emitter[int, []float64]) {
+			acc := out.(RowEmitter)
+			v := acc.Row(rec%keys, d)
+			for i := range v {
+				v[i] += float64(rec*d + i + 1)
+			}
+			wide := acc.Row(-1, d*d)
+			for i := range wide {
+				wide[i] += float64(rec + i)
+			}
+			out.AddOps(int64(d + d*d))
+		})
+	}
+	return job
+}
+
+// TestDenseRowMatchesEmit: accumulating through Row — in the slab on the
+// flat-slab path, in the value map on the generic path — gives the results
+// and cluster metrics of emitting every partial and combining, bit for bit,
+// under every fault plan (retried attempts must re-claim their rows zeroed).
+func TestDenseRowMatchesEmit(t *testing.T) {
+	input := make([]int, 300)
+	for i := range input {
+		input[i] = i
+	}
+	for name, plan := range denseTestPlans() {
+		t.Run(name, func(t *testing.T) {
+			run := func(job Job[int, int, []float64, []float64], disableDense bool) (map[int][]float64, cluster.Metrics, error) {
+				eng := testEngine()
+				eng.DisableDense = disableDense
+				eng.Faults = plan
+				res, err := Run(eng, job, input)
+				return res, eng.Cluster.Metrics(), err
+			}
+			wantRes, wantM, wantErr := run(denseVecJob(37, 4), false)
+			for _, disable := range []bool{false, true} {
+				gotRes, gotM, gotErr := run(denseRowJob(37, 4), disable)
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("generic=%v: error mismatch: emit %v, row %v", disable, wantErr, gotErr)
+				}
+				if gotM != wantM {
+					t.Fatalf("generic=%v: metrics diverge:\n emit %+v\n row  %+v", disable, wantM, gotM)
+				}
+				if len(gotRes) != len(wantRes) {
+					t.Fatalf("generic=%v: key count: emit %d, row %d", disable, len(wantRes), len(gotRes))
+				}
+				for k, wv := range wantRes {
+					gv := gotRes[k]
+					if len(gv) != len(wv) {
+						t.Fatalf("generic=%v: key %d: emit %v, row %v", disable, k, wv, gv)
+					}
+					for i := range wv {
+						if gv[i] != wv[i] {
+							t.Fatalf("generic=%v: key %d[%d]: emit %v, row %v", disable, k, i, wv[i], gv[i])
+						}
+					}
+				}
+			}
+		})
+	}
 }

@@ -40,6 +40,23 @@ type Emitter[K comparable, V any] interface {
 	AddOps(n int64)
 }
 
+// RowEmitter is the accumulate-in-place side of the engine's emitters, for
+// int-keyed jobs with []float64 values and a Combine (the stateful in-mapper
+// combiner of §4.1 applied eagerly). Both of the engine's emitters implement
+// it; a mapper reaches it with out.(mapred.RowEmitter).
+type RowEmitter interface {
+	Emitter[int, []float64]
+	// Row returns key k's width-long value row for this attempt. The first
+	// touch claims the row zeroed and counts it as the key's one emitted
+	// value; later touches return the same row, which the mapper keeps
+	// accumulating into. A row is the task's only copy of its partial: on the
+	// flat-slab path it lives in the shuffle slab, on the generic path in the
+	// emitter's value map. The slice is valid only until the next call that
+	// claims a new key (Row or Emit), which may move the storage, so use it
+	// at once. Emit on a key already claimed by Row merges through Combine.
+	Row(k, width int) []float64
+}
+
 // Mapper processes input records. NewMapper is called once per map task, so
 // implementations can keep per-task state (the stateful in-mapper combiner of
 // §4.1) and flush it in Cleanup.
@@ -225,6 +242,23 @@ func (em *emitter[K, V]) Emit(k K, v V) {
 		return
 	}
 	em.pairs[k] = append(em.pairs[k], v)
+}
+
+// Row implements RowEmitter on the generic path: the row is held in the
+// combiner's value map, exactly where an Emit of it would land.
+func (em *emitter[K, V]) Row(k, width int) []float64 {
+	vals, ok := any(em.vals).(map[int][]float64)
+	if !ok || em.merge == nil {
+		panic("mapred: Row needs an int-keyed []float64 job with a Combine")
+	}
+	v, ok := vals[k]
+	if !ok {
+		v = make([]float64, width)
+		vals[k] = v
+	} else if len(v) != width {
+		panic(fmt.Sprintf("mapred: Row(%d) asked for width %d; the key holds %d", k, width, len(v)))
+	}
+	return v
 }
 
 // reset clears a failed attempt's output so the retry can reuse the emitter's

@@ -3,13 +3,14 @@ package ppca
 import (
 	"testing"
 
+	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/parallel"
 )
 
-// nopEmitter satisfies mapred.Emitter for steady-state Map measurements —
-// the consolidated mappers only emit from Cleanup, so Map sees no emitter
-// traffic beyond op accounting.
+// nopEmitter satisfies mapred.Emitter for steady-state Map measurements of
+// mappers that emit only from Cleanup, so Map sees no emitter traffic beyond
+// op accounting.
 type nopEmitter[K comparable, V any] struct{}
 
 func (nopEmitter[K, V]) Emit(K, V)    {}
@@ -27,27 +28,27 @@ func allocTestDriver(t *testing.T, n, dims, d int) (*matrix.Sparse, *emDriver) {
 	return y, em
 }
 
-// TestYtxMapperMapZeroAllocSteadyState: after one warm-up pass has sized the
-// freelist, the map buckets, and the latent scratch, an entire iteration's
-// worth of Map calls on the consolidated YtX mapper allocates nothing.
+// TestYtxMapperMapZeroAllocSteadyState: the consolidated YtX mapper
+// accumulates in place in the rows of a real flat-slab emitter. Once one pass
+// has grown the task's slab, a whole attempt — slab reset, every Map call and
+// Cleanup — allocates nothing. The mapper calls no pool kernel, so the gate
+// holds without parallel.SetSequential.
 func TestYtxMapperMapZeroAllocSteadyState(t *testing.T) {
-	parallel.SetSequential(true)
-	defer parallel.SetSequential(false)
 	y, em := allocTestDriver(t, 60, 24, 4)
-	scr := newYtxTaskScratch(em.d)
-	m := &ytxMapper{em: em, meanProp: true, d: em.d, scr: scr}
-	emit := nopEmitter[int, []float64]{}
-	for i := 0; i < y.R; i++ {
-		m.Map(y.Row(i), emit)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		scr.reset()
+	scr := newMRScratch(1, em.d)
+	emit := mapred.NewTaskEmitter(scr.denseYtX(y.C, em.d), sumVec)
+	m := &ytxMapper{em: em, meanProp: true, d: em.d, scr: scr.tasks[0]}
+	pass := func() {
+		emit.Reset()
 		for i := 0; i < y.R; i++ {
 			m.Map(y.Row(i), emit)
 		}
-	})
+		m.Cleanup(emit)
+	}
+	pass()
+	allocs := testing.AllocsPerRun(10, pass)
 	if allocs != 0 {
-		t.Fatalf("steady-state ytxMapper.Map pass allocated %v times, want 0", allocs)
+		t.Fatalf("steady-state ytxMapper attempt allocated %v times, want 0", allocs)
 	}
 }
 
@@ -57,7 +58,7 @@ func TestSS3MapperMapZeroAllocSteadyState(t *testing.T) {
 	parallel.SetSequential(true)
 	defer parallel.SetSequential(false)
 	y, em := allocTestDriver(t, 60, 24, 4)
-	scr := newSS3TaskScratch(em.d)
+	scr := newTaskScratches(1, em.d)[0]
 	m := &ss3Mapper{em: em, c: em.c, meanProp: true, assoc: true, d: em.d, scr: scr}
 	emit := nopEmitter[int, float64]{}
 	for i := 0; i < y.R; i++ {

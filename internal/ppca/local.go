@@ -36,7 +36,7 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 	ss1 := y.CenteredFrobeniusSq(mean)
 	em := newEMDriver(opt, y.R, y.C, mean, ss1)
 	if opt.Resume == nil && opt.SmartGuess {
-		if err := smartGuessLocal(y, opt, em); err != nil {
+		if err := smartGuess(nil, y, y.R, y.C, opt, em); err != nil {
 			return nil, fmt.Errorf("ppca: smart guess: %w", err)
 		}
 	}
@@ -70,7 +70,7 @@ func (e *localEngine) solved(*emDriver, *matrix.Dense) {}
 func (e *localEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return localSS3(e.y, em, cNew, e.scr), nil
 }
-func (e *localEngine) reconErr(em *emDriver) float64 { return em.reconError(e.y, e.sample) }
+func (e *localEngine) reconErr(em *emDriver) float64 { return reconError(em, e.y, e.sample) }
 
 // localScratch is FitLocal's per-fit reusable pass state: the job sums, the
 // per-block latent rows, the per-block ss3 terms, and per-worker xi/ct
@@ -107,11 +107,7 @@ func (s *localScratch) ensureWorkers(d int) {
 // localPass is the consolidated YtX+XtX pass (one scan over the rows).
 func localPass(y *matrix.Sparse, em *emDriver, scr *localScratch) jobSums {
 	sums := scr.sums
-	sums.ytx.Zero()
-	sums.xtx.Zero()
-	for i := range sums.sumX {
-		sums.sumX[i] = 0
-	}
+	sums.zero()
 	xis := scr.xis // fully overwritten block by block
 	for base := 0; base < y.R; base += latentBlock {
 		end := base + latentBlock
@@ -185,27 +181,6 @@ func computeLatentRow(row matrix.SparseVector, em *emDriver, xi []float64) {
 	}
 }
 
-// smartGuessLocal seeds em with the result of a fit on a row sample.
-func smartGuessLocal(y *matrix.Sparse, opt Options, em *emDriver) error {
-	n := smartGuessSize(opt, y.R)
-	if n >= y.R {
-		return nil // nothing to gain
-	}
-	sub := sampleSparseRows(y, n, opt.Seed+0x5A)
-	subOpt := opt
-	subOpt.SmartGuess = false
-	subOpt.TargetAccuracy = 0
-	subOpt.IdealError = 0
-	subOpt.MaxIter = 5
-	res, err := FitLocal(sub, subOpt)
-	if err != nil {
-		return err
-	}
-	em.c = res.Components
-	em.ss = res.SS
-	return nil
-}
-
 func smartGuessSize(opt Options, n int) int {
 	sz := opt.SmartGuessRows
 	if sz <= 0 {
@@ -223,13 +198,41 @@ func smartGuessSize(opt Options, n int) int {
 	return sz
 }
 
-// sampleSparseRows builds a CSR matrix from a deterministic sample of rows.
-func sampleSparseRows(y *matrix.Sparse, n int, seed uint64) *matrix.Sparse {
-	idx := matrix.SampleIdx(matrix.NewRNG(seed+0xACC), y.R, n)
-	b := matrix.NewSparseBuilder(y.C)
+// sampleSparseRows builds a CSR matrix from a deterministic sample of count
+// of y's n rows, copying only the sampled rows.
+func sampleSparseRows[R rowAt](y R, n, dims, count int, seed uint64) *matrix.Sparse {
+	idx := matrix.SampleIdx(matrix.NewRNG(seed+0xACC), n, count)
+	b := matrix.NewSparseBuilder(dims)
 	for _, i := range idx {
 		row := y.Row(i)
 		b.AddRow(row.Indices, row.Values)
 	}
 	return b.Build()
+}
+
+// smartGuess seeds em from a local fit on a sample of y's n rows. On a
+// simulated cluster cl the sample fit's cost is charged to the driver (it is
+// small by construction); the local engine passes a nil cl.
+func smartGuess[R rowAt](cl *cluster.Cluster, y R, n, dims int, opt Options, em *emDriver) error {
+	count := smartGuessSize(opt, n)
+	if count >= n {
+		return nil // nothing to gain
+	}
+	sample := sampleSparseRows(y, n, dims, count, opt.Seed+0x5A)
+	subOpt := opt
+	subOpt.SmartGuess = false
+	subOpt.TargetAccuracy = 0
+	subOpt.IdealError = 0
+	subOpt.MaxIter = 5
+	res, err := FitLocal(sample, subOpt)
+	if err != nil {
+		return err
+	}
+	if cl != nil {
+		// Charge the sample fit: ~5 iterations x (2·nnz·d) on one driver core.
+		cl.AddDriverCompute(int64(subOpt.MaxIter) * 2 * int64(sample.NNZ()) * int64(opt.Components))
+	}
+	em.c = res.Components
+	em.ss = res.SS
+	return nil
 }

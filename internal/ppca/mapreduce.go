@@ -53,7 +53,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		}
 		em = newEMDriver(opt, len(rows), dims, mean, ss1)
 		if opt.SmartGuess {
-			if err := smartGuessMapReduce(eng, rows, dims, opt, em); err != nil {
+			if err := smartGuess(cl, sparseRows(rows), len(rows), dims, opt, em); err != nil {
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
@@ -61,12 +61,12 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	res.Mean = em.mean
 
 	// Per-task mapper scratch plus the driver-side job sums, allocated once
-	// and recycled every iteration.
+	// and recycled every iteration. The error metric reads the caller's rows
+	// in place.
 	e := &mrEngine{
 		eng: eng, rows: rows, dims: dims, opt: opt,
-		scr:    newMRScratch(eng.NumSplits(len(rows)), em.d, dims),
+		scr:    newMRScratch(eng.NumSplits(len(rows)), em.d),
 		pooled: newJobSums(dims, em.d),
-		y:      matrix.SparseFromRows(rows, dims),
 		sample: opt.errorSample(len(rows)),
 	}
 	if err := runEM(em, opt, e, res); err != nil {
@@ -83,7 +83,6 @@ type mrEngine struct {
 	opt    Options
 	scr    *mrScratch
 	pooled jobSums
-	y      *matrix.Sparse
 	sample []int
 }
 
@@ -114,7 +113,9 @@ func (e *mrEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return ss3Job(e.eng, e.rows, em, cNew, e.opt, e.scr)
 }
 
-func (e *mrEngine) reconErr(em *emDriver) float64 { return em.reconError(e.y, e.sample) }
+func (e *mrEngine) reconErr(em *emDriver) float64 {
+	return reconError(em, sparseRows(e.rows), e.sample)
+}
 
 // broadcast charges shipping driver state to every worker node.
 func broadcast(cl *cluster.Cluster, name string, bytes int64) {
@@ -164,35 +165,63 @@ func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float6
 	return mean, nil
 }
 
-// meanMapper holds its per-column partial sums as a flat array plus a
+// colSums is a per-task column-sum partial kept as a flat array plus a
 // first-touch list rather than a hash map: columns hit by any row of the task
-// index directly into partial, and Cleanup emits exactly the touched set (so
-// the shuffle never carries zero entries for columns the task never saw).
-type meanMapper struct {
+// index directly into partial, and the touched list names exactly the
+// columns the task saw (so the shuffle never carries zero entries for
+// columns it never saw). It backs both engines' mean jobs.
+type colSums struct {
 	partial []float64
 	seen    []bool
 	touched []int32
 	count   float64
 }
 
-func (m *meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
-	if len(m.partial) < row.Len {
-		p := make([]float64, row.Len)
-		copy(p, m.partial)
-		s := make([]bool, row.Len)
-		copy(s, m.seen)
-		t := make([]int32, len(m.touched), row.Len)
-		copy(t, m.touched)
-		m.partial, m.seen, m.touched = p, s, t
+// grow widens the partial to n columns.
+func (c *colSums) grow(n int) {
+	if len(c.partial) >= n {
+		return
 	}
+	p := make([]float64, n)
+	copy(p, c.partial)
+	s := make([]bool, n)
+	copy(s, c.seen)
+	t := make([]int32, len(c.touched), n)
+	copy(t, c.touched)
+	c.partial, c.seen, c.touched = p, s, t
+}
+
+// add folds one row into the partial.
+func (c *colSums) add(row matrix.SparseVector) {
+	c.grow(row.Len)
 	for k, j := range row.Indices {
-		if !m.seen[j] {
-			m.seen[j] = true
-			m.touched = append(m.touched, int32(j))
+		if !c.seen[j] {
+			c.seen[j] = true
+			c.touched = append(c.touched, int32(j))
 		}
-		m.partial[j] += row.Values[k]
+		c.partial[j] += row.Values[k]
 	}
-	m.count++
+	c.count++
+}
+
+// merge folds partial o into c, column by column in o's touched order.
+func (c *colSums) merge(o *colSums) {
+	c.grow(len(o.partial))
+	for _, j := range o.touched {
+		if !c.seen[j] {
+			c.seen[j] = true
+			c.touched = append(c.touched, j)
+		}
+		c.partial[j] += o.partial[j]
+	}
+	c.count += o.count
+}
+
+// meanMapper is the stateful combiner of meanJob.
+type meanMapper struct{ colSums }
+
+func (m *meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
+	m.add(row)
 	out.AddOps(int64(row.NNZ()))
 }
 
@@ -282,20 +311,22 @@ func (m *fnormMapper) Cleanup(out mapred.Emitter[int, float64]) { out.Emit(keyFr
 
 // ytxJob is the consolidated distributed job of Algorithm 4: it recomputes X
 // row by row and produces YtX, XtX, and ΣX in a single pass. Mappers hold
-// the partial matrices in memory (the stateful combiner of §4.1) and flush
-// them once per task, keyed so all XtX partials meet at one reducer.
+// the partial matrices in memory (the stateful combiner of §4.1) and ship
+// them once per task, keyed so all XtX partials meet at one reducer. The
+// reducers sum straight into sums, the fit-owned driver matrices.
 func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriver, opt Options, scr *mrScratch, sums jobSums) (jobSums, error) {
 	d := em.d
+	sums.zero()
 	job := mapred.Job[matrix.SparseVector, int, []float64, []float64]{
 		Name: "YtXJob",
 		NewMapper: func(task int) mapred.Mapper[matrix.SparseVector, int, []float64] {
 			if opt.StatefulCombiner {
-				return &ytxMapper{em: em, meanProp: opt.MeanPropagation, d: d, scr: scr.ytxTask(task, d)}
+				return &ytxMapper{em: em, meanProp: opt.MeanPropagation, d: d, scr: scr.tasks[task]}
 			}
 			return &ytxNaiveMapper{em: em, meanProp: opt.MeanPropagation, d: d}
 		},
 		Combine:     sumVec,
-		Reduce:      reduceSumVec,
+		Reduce:      sums.reduce,
 		InputBytes:  mapred.BytesOfSparseVec,
 		KeyBytes:    mapred.BytesOfInt,
 		ValueBytes:  mapred.BytesOfVec,
@@ -313,21 +344,18 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 		// keys per task.
 		job.Dense = scr.denseYtX(dims, d)
 	}
-	out, err := mapred.Run(eng, job, rows)
-	if err != nil {
+	if _, err := mapred.Run(eng, job, rows); err != nil {
 		return jobSums{}, err
 	}
-	return assembleSumsInto(out, sums)
+	return sums, nil
 }
 
 // mrScratch owns the per-map-task mapper scratch of one FitMapReduce call,
 // indexed by task id and reused across all EM iterations. Distinct tasks
 // write distinct slots of a pre-sized slice, so concurrent map tasks never
-// race; retried attempts of one task run sequentially in one goroutine and
-// start from a reset.
+// race; retried attempts of one task run sequentially in one goroutine.
 type mrScratch struct {
-	ytx []*ytxTaskScratch
-	ss3 []*ss3TaskScratch
+	tasks []*taskScratch
 	// DenseSpecs of the per-iteration jobs, built once per fit: a stable
 	// spec pointer lets the engine's slab pool take its cheap same-spec
 	// reset path on every EM iteration.
@@ -335,45 +363,8 @@ type mrScratch struct {
 	ss3Spec *mapred.DenseSpec
 }
 
-func newMRScratch(tasks, d, dims int) *mrScratch {
-	sc := &mrScratch{
-		ytx: make([]*ytxTaskScratch, tasks),
-		ss3: make([]*ss3TaskScratch, tasks),
-	}
-	// Batch-carve every task's fixed-size buffers from shared arenas: the
-	// whole fit's scratch costs a handful of allocations instead of several
-	// per task. The YtX row slabs themselves still grow on demand (bounded by
-	// dims·d), since their size depends on the columns a task touches.
-	ytxBlock := make([]ytxTaskScratch, tasks)
-	ss3Block := make([]ss3TaskScratch, tasks)
-	floats := make([]float64, tasks*(d*d+4*d))
-	offs := make([]int32, tasks*2*dims)
-	carve := func(n int) []float64 {
-		v := floats[:n:n]
-		floats = floats[n:]
-		return v
-	}
-	for t := 0; t < tasks; t++ {
-		y := &ytxBlock[t]
-		y.d = d
-		y.xtx = carve(d * d)
-		y.sumX = carve(d)
-		y.xi = carve(d)
-		y.off = offs[:dims:dims]
-		y.touched = offs[dims : dims : 2*dims]
-		offs = offs[2*dims:]
-		for i := range y.off {
-			y.off[i] = -1
-		}
-		y.maxData = dims * d
-		sc.ytx[t] = y
-
-		s := &ss3Block[t]
-		s.xi = carve(d)
-		s.ct = carve(d)
-		sc.ss3[t] = s
-	}
-	return sc
+func newMRScratch(tasks, d int) *mrScratch {
+	return &mrScratch{tasks: newTaskScratches(tasks, d)}
 }
 
 // denseYtX returns the fit-wide DenseSpec of the consolidated YtXJob: the
@@ -397,27 +388,6 @@ func (sc *mrScratch) denseSS3() *mapred.DenseSpec {
 		sc.ss3Spec = &mapred.DenseSpec{MinKey: keySS3, Keys: 1, Width: 1}
 	}
 	return sc.ss3Spec
-}
-
-// ytxTask returns task's YtXJob scratch, reset and ready for a new attempt.
-func (sc *mrScratch) ytxTask(task, d int) *ytxTaskScratch {
-	s := sc.ytx[task]
-	if s == nil {
-		s = newYtxTaskScratch(d)
-		sc.ytx[task] = s
-	}
-	s.reset()
-	return s
-}
-
-// ss3Task returns task's ss3Job scratch (no reset needed; see ss3TaskScratch).
-func (sc *mrScratch) ss3Task(task, d int) *ss3TaskScratch {
-	s := sc.ss3[task]
-	if s == nil {
-		s = newSS3TaskScratch(d)
-		sc.ss3[task] = s
-	}
-	return s
 }
 
 // ytxNaiveMapper emits one partial per non-zero per row with no in-mapper
@@ -468,19 +438,42 @@ func newJobSums(dims, d int) jobSums {
 	}
 }
 
-// assembleSums rebuilds the jobSums matrices from reducer output.
-func assembleSums(out map[int][]float64, dims, d int) (jobSums, error) {
-	return assembleSumsInto(out, newJobSums(dims, d))
+// zero clears the sums for a new pass.
+func (s jobSums) zero() {
+	s.ytx.Zero()
+	s.xtx.Zero()
+	clear(s.sumX)
 }
 
-// assembleSumsInto zeroes sums and refills it from reducer output, so a
-// driver-held jobSums can be recycled across iterations.
-func assembleSumsInto(out map[int][]float64, sums jobSums) (jobSums, error) {
-	sums.ytx.Zero()
-	sums.xtx.Zero()
-	for i := range sums.sumX {
-		sums.sumX[i] = 0
+// reduce is the consolidated YtXJob's reducer: key k's values are summed into
+// its own row of s — a YtX row, XtX, or ΣX — which is the key's result. The
+// row is cleared first and the values added in order, the same AXPY-from-zero
+// sum a fresh vector would hold, so a retried reduce attempt recomputes it
+// exactly. Distinct keys own distinct rows, so concurrent reduce tasks never
+// share one.
+func (s jobSums) reduce(k int, vs [][]float64, o mapred.Ops) []float64 {
+	var out []float64
+	switch {
+	case k >= 0:
+		out = s.ytx.Row(k)
+	case k == keyXtX:
+		out = s.xtx.Data
+	case k == keySumX:
+		out = s.sumX
+	default:
+		panic(fmt.Sprintf("ppca: unexpected YtXJob key %d", k))
 	}
+	clear(out)
+	for _, v := range vs {
+		matrix.AXPY(1, v, out)
+		o.AddOps(int64(len(v)))
+	}
+	return out
+}
+
+// assembleSums builds the jobSums matrices from reducer output.
+func assembleSums(out map[int][]float64, dims, d int) (jobSums, error) {
+	sums := newJobSums(dims, d)
 	for k, v := range out {
 		switch {
 		case k >= 0:
@@ -501,6 +494,8 @@ func sumVec(a, b []float64) []float64 {
 	return a
 }
 
+// reduceSumVec sums a key's values into a fresh vector: the reducer of the
+// unoptimized baseline jobs, whose output the driver assembles afterwards.
 func reduceSumVec(k int, vs [][]float64, o mapred.Ops) []float64 {
 	out := make([]float64, len(vs[0]))
 	for _, v := range vs {
@@ -510,88 +505,43 @@ func reduceSumVec(k int, vs [][]float64, o mapred.Ops) []float64 {
 	return out
 }
 
-// ytxTaskScratch is the reusable in-mapper state of one YtXJob map task. The
-// engine retains emitted slices only until Run returns and the fit loop runs
-// jobs strictly sequentially, so the same buffers can back every iteration's
-// mapper. YtX partial rows live packed in one flat slab (data + per-column
-// offset table) in first-touch order, mirroring the engine's shuffle slabs:
-// reset truncates the slab in O(touched) and every iteration after the first
-// runs the mapper without a single row allocation.
-type ytxTaskScratch struct {
-	d       int
-	data    []float64 // packed d-wide YtX partial rows, claim order
-	off     []int32   // per column: offset into data, -1 while untouched
-	touched []int32   // columns claimed this attempt, claim order
-	maxData int       // growth bound (dims·d) when the fit's dims are known
-	xtx     []float64
-	sumX    []float64
-	xi      []float64
-	idx     []int // densify scratch for the no-mean-propagation ablation
-	vals    []float64
+// taskScratch is one map task's (or Spark partition's) reusable per-row
+// buffers, shared by the YtX and ss3 mappers. A fit runs its jobs one at a
+// time and every buffer is fully overwritten per row, so no reset is needed
+// between attempts or jobs. The YtX/XtX/ΣX partials are not here: they live
+// in the emitter's rows (ytxMapper) or a partition's flat partial (Spark).
+type taskScratch struct {
+	xi   []float64
+	ct   []float64
+	xc   []float64 // D-length scratch for the non-associative ss3 order
+	idx  []int     // densify scratch for the no-mean-propagation ablation
+	vals []float64
 }
 
-func newYtxTaskScratch(d int) *ytxTaskScratch {
-	return &ytxTaskScratch{
-		d:    d,
-		xtx:  make([]float64, d*d),
-		sumX: make([]float64, d),
-		xi:   make([]float64, d),
-	}
-}
+// pageFloats is a 4 KiB page in float64s.
+const pageFloats = 512
 
-// reset prepares the scratch for a fresh attempt: touched columns revert to
-// untouched and the row slab is truncated, keeping its capacity (the offset
-// table holds only live keys, so a task's shuffle output — and hence the byte
-// accounting — never includes stale zero rows).
-func (s *ytxTaskScratch) reset() {
-	for _, j := range s.touched {
-		s.off[j] = -1
+// newTaskScratches returns n task scratches whose xi and ct are carved from
+// one allocation, each task's pair on 4 KiB pages of its own. Concurrent
+// tasks write their xi and ct on every row. Packed side by side, two cores
+// wrote within one page, where the hardware prefetchers couple neighbouring
+// lines, and the MapReduce mappers ran about 15% slower at GOMAXPROCS=2.
+func newTaskScratches(n, d int) []*taskScratch {
+	stride := (2*d/pageFloats + 1) * pageFloats
+	floats := make([]float64, n*stride)
+	block := make([]taskScratch, n)
+	out := make([]*taskScratch, n)
+	for t := range block {
+		s := &block[t]
+		s.xi, s.ct = floats[:d:d], floats[d:2*d:2*d]
+		floats = floats[stride:]
+		out[t] = s
 	}
-	s.touched = s.touched[:0]
-	s.data = s.data[:0]
-	for i := range s.xtx {
-		s.xtx[i] = 0
-	}
-	for i := range s.sumX {
-		s.sumX[i] = 0
-	}
-}
-
-// row returns column j's partial row, claiming a zeroed d-vector from the
-// slab on first touch. The returned slice is only valid until the next claim
-// (growth may move the backing array); use it immediately.
-func (s *ytxTaskScratch) row(j int) []float64 {
-	if j >= len(s.off) {
-		grown := make([]int32, max(2*len(s.off), j+1, 64))
-		copy(grown, s.off)
-		for i := len(s.off); i < len(grown); i++ {
-			grown[i] = -1
-		}
-		s.off = grown
-	}
-	if o := s.off[j]; o >= 0 {
-		return s.data[o : int(o)+s.d]
-	}
-	o := len(s.data)
-	if o+s.d <= cap(s.data) {
-		s.data = s.data[: o+s.d : cap(s.data)]
-		clear(s.data[o:])
-	} else {
-		c := max(4*cap(s.data), o+s.d, 1024)
-		if s.maxData > 0 && c > s.maxData {
-			c = max(s.maxData, o+s.d)
-		}
-		grown := make([]float64, o+s.d, c)
-		copy(grown, s.data)
-		s.data = grown
-	}
-	s.off[j] = int32(o)
-	s.touched = append(s.touched, int32(j))
-	return s.data[o:]
+	return out
 }
 
 // densify is densifyCentered on task-held buffers.
-func (s *ytxTaskScratch) densify(row matrix.SparseVector, mean []float64) matrix.SparseVector {
+func (s *taskScratch) densify(row matrix.SparseVector, mean []float64) matrix.SparseVector {
 	if cap(s.idx) < row.Len {
 		s.idx = make([]int, row.Len)
 		s.vals = make([]float64, row.Len)
@@ -599,51 +549,47 @@ func (s *ytxTaskScratch) densify(row matrix.SparseVector, mean []float64) matrix
 	return matrix.DensifyCenteredInto(row, mean, s.idx[:row.Len], s.vals[:row.Len])
 }
 
+// ytxMapper is the stateful combiner of the consolidated YtXJob. Its YtX,
+// XtX and ΣX partials accumulate in place in the rows the emitter hands out
+// (mapred.RowEmitter), so each partial exists once per task, in the layout
+// the shuffle ships, and Cleanup has nothing left to flush.
 type ytxMapper struct {
 	em       *emDriver
 	meanProp bool
 	d        int
-	scr      *ytxTaskScratch
+	scr      *taskScratch
 }
 
 func (m *ytxMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []float64]) {
-	s := m.scr
+	acc := out.(mapred.RowEmitter)
+	s, d := m.scr, m.d
 	if !m.meanProp {
 		row = s.densify(row, m.em.mean)
 	}
 	computeRowLatent(row, m.em, m.meanProp, s.xi)
 	nnz := row.NNZ()
 	// YtX partial: only rows of Y's non-zeros are touched (for the
-	// mean-propagated path this is what keeps the partial sparse).
+	// mean-propagated path this is what keeps the partial sparse). Each row
+	// is used at once: the next claim may move the emitter's storage.
 	for k, j := range row.Indices {
-		matrix.AXPY(row.Values[k], s.xi, s.row(j))
+		matrix.AXPY(row.Values[k], s.xi, acc.Row(j, d))
 	}
-	for a := 0; a < m.d; a++ {
+	xtx := acc.Row(keyXtX, d*d)
+	for a := 0; a < d; a++ {
 		va := s.xi[a]
 		if va == 0 {
 			continue
 		}
-		base := a * m.d
-		for b := 0; b < m.d; b++ {
-			s.xtx[base+b] += va * s.xi[b]
+		base := a * d
+		for b := 0; b < d; b++ {
+			xtx[base+b] += va * s.xi[b]
 		}
 	}
-	matrix.AXPY(1, s.xi, s.sumX)
-	out.AddOps(int64(2*nnz*m.d + m.d*m.d + m.d))
+	matrix.AXPY(1, s.xi, acc.Row(keySumX, d))
+	out.AddOps(int64(2*nnz*d + d*d + d))
 }
 
-func (m *ytxMapper) Cleanup(out mapred.Emitter[int, []float64]) {
-	// Each key is emitted exactly once per task, so the engine's in-place
-	// combiner merge never mutates these pooled slices. No further claims
-	// happen after this point, so the slab rows are stable.
-	s := m.scr
-	for _, j := range s.touched {
-		o := s.off[j]
-		out.Emit(int(j), s.data[o:int(o)+s.d:int(o)+s.d])
-	}
-	out.Emit(keyXtX, s.xtx)
-	out.Emit(keySumX, s.sumX)
-}
+func (m *ytxMapper) Cleanup(out mapred.Emitter[int, []float64]) {}
 
 // computeRowLatent fills xi with the centered latent row. With mean
 // propagation the Xm correction applies; without it the row is already
@@ -687,7 +633,7 @@ func ss3Job(eng *mapred.Engine, rows []matrix.SparseVector, em *emDriver, cNew *
 			return &ss3Mapper{
 				em: em, c: cNew, meanProp: opt.MeanPropagation,
 				assoc: opt.AssociativeSS3, d: em.d,
-				scr: scr.ss3Task(task, em.d),
+				scr: scr.tasks[task],
 			}
 		},
 		Combine: func(a, b float64) float64 { return a + b },
@@ -711,30 +657,6 @@ func ss3Job(eng *mapred.Engine, rows []matrix.SparseVector, em *emDriver, cNew *
 	return out[keySS3], nil
 }
 
-// ss3TaskScratch is the reusable per-task scratch of the ss3Job mappers. The
-// job emits only scalars, so nothing here is ever retained by the engine and
-// no reset between attempts is needed: every buffer is fully overwritten per
-// row (or, for ct, zeroed in the loop).
-type ss3TaskScratch struct {
-	xi   []float64
-	ct   []float64
-	xc   []float64 // D-length scratch for the non-associative order
-	idx  []int     // densify scratch for the no-mean-propagation ablation
-	vals []float64
-}
-
-func newSS3TaskScratch(d int) *ss3TaskScratch {
-	return &ss3TaskScratch{xi: make([]float64, d), ct: make([]float64, d)}
-}
-
-func (s *ss3TaskScratch) densify(row matrix.SparseVector, mean []float64) matrix.SparseVector {
-	if cap(s.idx) < row.Len {
-		s.idx = make([]int, row.Len)
-		s.vals = make([]float64, row.Len)
-	}
-	return matrix.DensifyCenteredInto(row, mean, s.idx[:row.Len], s.vals[:row.Len])
-}
-
 type ss3Mapper struct {
 	em       *emDriver
 	c        *matrix.Dense
@@ -743,7 +665,7 @@ type ss3Mapper struct {
 	d        int
 
 	sum float64
-	scr *ss3TaskScratch
+	scr *taskScratch
 }
 
 func (m *ss3Mapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
@@ -936,28 +858,4 @@ func (m *ytxJoinMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 	for j, p := range m.ytx {
 		out.Emit(j, p)
 	}
-}
-
-// smartGuessMapReduce seeds em from a local fit on a row sample; the sample
-// fit's cost is charged to the driver (it is small by construction).
-func smartGuessMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt Options, em *emDriver) error {
-	n := smartGuessSize(opt, len(rows))
-	if n >= len(rows) {
-		return nil
-	}
-	sample := sampleSparseRows(matrix.SparseFromRows(rows, dims), n, opt.Seed+0x5A)
-	subOpt := opt
-	subOpt.SmartGuess = false
-	subOpt.TargetAccuracy = 0
-	subOpt.IdealError = 0
-	subOpt.MaxIter = 5
-	res, err := FitLocal(sample, subOpt)
-	if err != nil {
-		return err
-	}
-	// Charge the sample fit: ~5 iterations x (2·nnz·d) on one driver core.
-	eng.Cluster.AddDriverCompute(int64(subOpt.MaxIter) * 2 * int64(sample.NNZ()) * int64(opt.Components))
-	em.c = res.Components
-	em.ss = res.SS
-	return nil
 }

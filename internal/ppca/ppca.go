@@ -392,17 +392,29 @@ func (o Options) errorSample(n int) []int {
 	return matrix.SampleIdx(matrix.NewRNG(o.Seed+0xACC), n, o.sampleRows())
 }
 
+// rowAt is row-indexed access to an input matrix: a *matrix.Sparse, or the
+// caller's row records wrapped as sparseRows.
+type rowAt interface {
+	Row(i int) matrix.SparseVector
+}
+
+// sparseRows serves the caller's row records by index, so the distributed
+// engines read their input in place instead of rebuilding it as a CSR copy.
+type sparseRows []matrix.SparseVector
+
+func (r sparseRows) Row(i int) matrix.SparseVector { return r[i] }
+
 // reconError is the driver-scratch entry point used by the fit loops.
-func (em *emDriver) reconError(y *matrix.Sparse, rows []int) float64 {
+func reconError[R rowAt](em *emDriver, y R, rows []int) float64 {
 	return reconstructionErrorInto(y, em.mean, em.c, em.cm, em.xm, rows, em.errXi, em.errNum, em.errDen)
 }
 
 // reconstructionErrorInto computes the paper's accuracy metric on the given
 // rows: e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled
 // row as Xi_c·Cᵀ + Ym without materializing any large matrix. It runs on
-// caller-provided scratch: xi (len d), tNum and tDen (len y.C), all fully
+// caller-provided scratch: xi (len d), tNum and tDen (len D), all fully
 // overwritten.
-func reconstructionErrorInto(y *matrix.Sparse, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int, xi, tNum, tDen []float64) float64 {
+func reconstructionErrorInto[R rowAt](y R, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int, xi, tNum, tDen []float64) float64 {
 	var num, den float64
 	for _, i := range rows {
 		row := y.Row(i)
@@ -417,7 +429,7 @@ func reconstructionErrorInto(y *matrix.Sparse, mean []float64, c *matrix.Dense, 
 		// per-column terms fill in parallel and accumulate in ascending j,
 		// matching the sequential evaluation bit for bit.
 		matrix.ReconTerms(row, mean, c, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
+		for j := range mean {
 			num += tNum[j]
 			den += tDen[j]
 		}

@@ -50,7 +50,7 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 		}
 		em = newEMDriver(opt, len(rows), dims, mean, ss1)
 		if opt.SmartGuess {
-			if err := smartGuessSpark(ctx, rows, dims, opt, em); err != nil {
+			if err := smartGuess(cl, sparseRows(rows), len(rows), dims, opt, em); err != nil {
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
@@ -58,11 +58,11 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	res.Mean = em.mean
 
 	// Per-partition task scratch plus the driver-side sums, allocated once
-	// and recycled every iteration.
+	// and recycled every iteration. The error metric reads the caller's rows
+	// in place.
 	e := &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt,
+		ctx: ctx, y: y, rows: rows, dims: dims, opt: opt,
 		scr:    newSparkScratch(y.NumPartitions(), dims, em.d),
-		ymat:   matrix.SparseFromRows(rows, dims),
 		sample: opt.errorSample(len(rows)),
 	}
 	if err := runEM(em, opt, e, res); err != nil {
@@ -75,10 +75,10 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 type sparkEngine struct {
 	ctx    *rdd.Context
 	y      *rdd.RDD[matrix.SparseVector]
+	rows   []matrix.SparseVector
 	dims   int
 	opt    Options
 	scr    *sparkScratch
-	ymat   *matrix.Sparse
 	sample []int
 }
 
@@ -107,39 +107,26 @@ func (e *sparkEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return sparkSS3Job(e.ctx, e.y, em, cNew, e.opt, e.scr)
 }
 
-func (e *sparkEngine) reconErr(em *emDriver) float64 { return em.reconError(e.ymat, e.sample) }
-
-// meanPartial is the per-partition state of the mean computation.
-type meanPartial struct {
-	sums  map[int]float64
-	count float64
+func (e *sparkEngine) reconErr(em *emDriver) float64 {
+	return reconError(em, sparseRows(e.rows), e.sample)
 }
 
-func meanPartialBytes(p *meanPartial) int64 {
+func meanPartialBytes(p *colSums) int64 {
 	if p == nil {
 		return 8
 	}
-	return 16 + int64(len(p.sums))*16
+	return 16 + int64(len(p.touched))*16
 }
 
 func sparkMean(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int) ([]float64, error) {
 	agg, err := rdd.Aggregate(y, "meanJob",
-		func() *meanPartial { return &meanPartial{sums: map[int]float64{}} },
-		func(p *meanPartial, row matrix.SparseVector, ops *rdd.TaskOps) *meanPartial {
-			for k, j := range row.Indices {
-				p.sums[j] += row.Values[k]
-			}
-			p.count++
+		func() *colSums { return &colSums{} },
+		func(p *colSums, row matrix.SparseVector, ops *rdd.TaskOps) *colSums {
+			p.add(row)
 			ops.AddOps(int64(row.NNZ()))
 			return p
 		},
-		func(a, b *meanPartial) *meanPartial {
-			for j, v := range b.sums {
-				a.sums[j] += v
-			}
-			a.count += b.count
-			return a
-		},
+		func(a, b *colSums) *colSums { a.merge(b); return a },
 		meanPartialBytes,
 	)
 	if err != nil {
@@ -150,8 +137,8 @@ func sparkMean(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int) ([]f
 		return nil, fmt.Errorf("ppca: sparkMean saw no rows")
 	}
 	mean := make([]float64, dims)
-	for j, v := range agg.sums {
-		mean[j] = v / agg.count
+	for _, j := range agg.touched {
+		mean[j] = agg.partial[j] / agg.count
 	}
 	return mean, nil
 }
@@ -212,75 +199,154 @@ func sparkFnorm(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], mean []float6
 	return agg.sum, nil
 }
 
-// sparkSums is the per-partition partial of the consolidated YtX job.
+// sparkSums is one partial of the consolidated YtX job, flat: the YtX rows
+// of the columns it touches packed d-wide in ytx (row i holds column
+// rows[i]), plus XtX and ΣX. A partition's partial is laid out once per fit
+// from the distinct columns of its fixed rows (see layoutSparkSums), so a
+// pass only clears it and accumulates.
+//
+// The driver's fold target has the same type over the dense D×d jobSums:
+// column j's row sits at j·d, seen marks the rows a partial has landed in,
+// and rows lists them in landing order.
 type sparkSums struct {
-	ytx  map[int][]float64
+	d    int
+	rows []int32
+	seen []bool // fold target only
+	ytx  []float64
 	xtx  []float64
 	sumX []float64
 }
 
-func newSparkSums(d int) *sparkSums {
+// bytes models the wire size when only sparse YtX entries are shipped.
+func (s *sparkSums) bytes() int64 {
+	d := int64(s.d)
+	return int64(len(s.rows))*(8+d*8) + d*d*8 + d*8
+}
+
+// newSparkFold returns a fold target over sums; a nil xtx and sumX (the
+// YtX-only join pass of the unoptimized baseline) skips those terms.
+func newSparkFold(ytx *matrix.Dense, xtx, sumX []float64) *sparkSums {
 	return &sparkSums{
-		ytx:  make(map[int][]float64),
-		xtx:  make([]float64, d*d),
-		sumX: make([]float64, d),
+		d:    ytx.C,
+		rows: make([]int32, 0, ytx.R),
+		seen: make([]bool, ytx.R),
+		ytx:  ytx.Data,
+		xtx:  xtx,
+		sumX: sumX,
 	}
 }
 
-// bytes models the wire size when only sparse YtX entries are shipped.
-func (s *sparkSums) bytes(d int) int64 {
-	return int64(len(s.ytx))*(8+int64(d)*8) + int64(d*d)*8 + int64(d)*8
+// merge folds partial o into the fold target s. The driver folds partials in
+// ascending task order, so each YtX row sums its partials in that order: the
+// first touch copies the partial's row and later touches add to it, which is
+// bit-identical to adopting the first partial's vector and adding the rest.
+// XtX and ΣX add onto their zeroed targets. It returns s, the accumulator's
+// fold value.
+func (s *sparkSums) merge(o *sparkSums) *sparkSums {
+	d := s.d
+	for i, j := range o.rows {
+		src := o.ytx[i*d : (i+1)*d]
+		dst := s.ytx[int(j)*d : (int(j)+1)*d]
+		if s.seen[j] {
+			matrix.AXPY(1, src, dst)
+			continue
+		}
+		s.seen[j] = true
+		s.rows = append(s.rows, j)
+		copy(dst, src)
+	}
+	if s.xtx != nil {
+		matrix.AXPY(1, o.xtx, s.xtx)
+		matrix.AXPY(1, o.sumX, s.sumX)
+	}
+	return s
 }
 
-func (s *sparkSums) merge(o *sparkSums) {
-	for j, v := range o.ytx {
-		if p := s.ytx[j]; p != nil {
-			matrix.AXPY(1, v, p)
-		} else {
-			s.ytx[j] = v
+// reset clears the fold target and the sums under it for a new pass.
+func (s *sparkSums) reset() {
+	for _, j := range s.rows {
+		s.seen[j] = false
+	}
+	s.rows = s.rows[:0]
+	clear(s.ytx)
+	clear(s.xtx)
+	clear(s.sumX)
+}
+
+// layoutSparkSums returns the flat partial for a partition's rows and its
+// column offset table (off[j] is column j's row in the partial, -1 where the
+// rows never touch j). The columns are the rows' non-zeros — every column of
+// a row when dense, the densified no-mean-propagation ablation — packed in
+// ascending order; withXtX adds the XtX and ΣX terms.
+func layoutSparkSums(rows []matrix.SparseVector, dims, d int, dense, withXtX bool) (*sparkSums, []int32) {
+	off := make([]int32, dims)
+	for j := range off {
+		off[j] = -1
+	}
+	for _, row := range rows {
+		if dense {
+			for j := 0; j < row.Len; j++ {
+				off[j] = 0
+			}
+			continue
+		}
+		for _, j := range row.Indices {
+			off[j] = 0
 		}
 	}
-	matrix.AXPY(1, o.xtx, s.xtx)
-	matrix.AXPY(1, o.sumX, s.sumX)
+	n := 0
+	for _, o := range off {
+		if o == 0 {
+			n++
+		}
+	}
+	s := &sparkSums{d: d, rows: make([]int32, 0, n), ytx: make([]float64, n*d)}
+	for j, o := range off {
+		if o == 0 {
+			off[j] = int32(len(s.rows))
+			s.rows = append(s.rows, int32(j))
+		}
+	}
+	if withXtX {
+		s.xtx = make([]float64, d*d)
+		s.sumX = make([]float64, d)
+	}
+	return s, off
+}
+
+// add folds column j's contribution a·xi into the partial through its offset
+// table.
+func (s *sparkSums) add(off []int32, j int, a float64, xi []float64) {
+	o := int(off[j]) * s.d
+	matrix.AXPY(a, xi, s.ytx[o:o+s.d])
 }
 
 // sparkScratch owns the per-fit reusable state of the Spark jobs: one scratch
-// per partition (partition count is fixed for the life of the RDD), the
-// accumulator zero the per-iteration YtX accumulator folds into, and the
-// driver-side jobSums.
+// per partition (partition count is fixed for the life of the RDD) and the
+// fold target over the driver-side jobSums.
 //
-// Ownership protocol: the accumulator merge steals YtX row vectors from the
-// first task partial holding each key, so after Value() the accumulator zero
-// aliases task-owned vectors. Those aliases die when resetAccZero clears the
-// map at the START of the next YtX pass — before any task scratch is reset —
-// so a cleared-and-recycled vector is never reachable through a live map.
+// Ownership: every partition's partial is its own flat store, and the
+// accumulator folds the partials into sums by copying or adding rows — it
+// never keeps a reference to a partial. A pass therefore only has to clear
+// the partials and the fold target before it runs; nothing is shared between
+// them.
 type sparkScratch struct {
-	d       int
-	parts   []*sparkPartScratch
-	accZero *sparkSums
-	sums    jobSums
+	parts []sparkPartScratch
+	sums  jobSums
+	fold  *sparkSums
 }
 
 func newSparkScratch(partitions, dims, d int) *sparkScratch {
-	return &sparkScratch{
-		d:       d,
-		parts:   make([]*sparkPartScratch, partitions),
-		accZero: newSparkSums(d),
-		sums:    newJobSums(dims, d),
+	sums := newJobSums(dims, d)
+	sc := &sparkScratch{
+		parts: make([]sparkPartScratch, partitions),
+		sums:  sums,
+		fold:  newSparkFold(sums.ytx, sums.xtx.Data, sums.sumX),
 	}
-}
-
-// resetAccZero clears the accumulator zero for a new pass. The map values are
-// NOT recycled here — they are owned by the task scratches that donated them.
-func (sc *sparkScratch) resetAccZero() *sparkSums {
-	clear(sc.accZero.ytx)
-	for i := range sc.accZero.xtx {
-		sc.accZero.xtx[i] = 0
+	for p, ts := range newTaskScratches(partitions, d) {
+		sc.parts[p].taskScratch = ts
 	}
-	for i := range sc.accZero.sumX {
-		sc.accZero.sumX[i] = 0
-	}
-	return sc.accZero
+	return sc
 }
 
 // sparkPartScratch is one partition's task-local scratch, shared by the YtX
@@ -288,100 +354,42 @@ func (sc *sparkScratch) resetAccZero() *sparkSums {
 // partitions write distinct slots of the pre-sized parts slice, so the
 // concurrent partition loop never races.
 type sparkPartScratch struct {
-	d    int
-	sums *sparkSums
-	free [][]float64 // recycled YtX partial rows
-	xi   []float64
-	ct   []float64
-	xc   []float64 // D-length scratch for the non-associative ss3 order
-	idx  []int     // densify scratch for the no-mean-propagation ablation
-	vals []float64
+	*taskScratch
+	sums *sparkSums // flat YtX partial, laid out on the fit's first YtX pass
+	off  []int32    // column → row of sums
 }
 
-func newSparkPartScratch(d int) *sparkPartScratch {
-	return &sparkPartScratch{
-		d:    d,
-		sums: newSparkSums(d),
-		xi:   make([]float64, d),
-		ct:   make([]float64, d),
+// ytxPart returns partition task's scratch with its partial cleared for a
+// new pass, laying the partial out from the partition's rows on first use.
+func (sc *sparkScratch) ytxPart(task int, part []matrix.SparseVector, d int, meanProp bool) *sparkPartScratch {
+	ps := &sc.parts[task]
+	if ps.sums == nil {
+		ps.sums, ps.off = layoutSparkSums(part, sc.sums.ytx.R, d, !meanProp, true)
+		return ps
 	}
-}
-
-// ytxPart returns partition task's scratch with its sums reset for a new pass.
-func (sc *sparkScratch) ytxPart(task, d int) *sparkPartScratch {
-	ps := sc.partScratch(task, d)
-	for j, p := range ps.sums.ytx {
-		ps.free = append(ps.free, p)
-		delete(ps.sums.ytx, j)
-	}
-	for i := range ps.sums.xtx {
-		ps.sums.xtx[i] = 0
-	}
-	for i := range ps.sums.sumX {
-		ps.sums.sumX[i] = 0
-	}
+	clear(ps.sums.ytx)
+	clear(ps.sums.xtx)
+	clear(ps.sums.sumX)
 	return ps
-}
-
-// ss3Part returns partition task's scratch without touching sums (the ss3
-// pass only uses the vector buffers, which are overwritten per row).
-func (sc *sparkScratch) ss3Part(task, d int) *sparkPartScratch {
-	return sc.partScratch(task, d)
-}
-
-func (sc *sparkScratch) partScratch(task, d int) *sparkPartScratch {
-	ps := sc.parts[task]
-	if ps == nil {
-		ps = newSparkPartScratch(d)
-		sc.parts[task] = ps
-	}
-	return ps
-}
-
-// vec hands out a zeroed d-vector, recycling the freelist when possible.
-func (ps *sparkPartScratch) vec() []float64 {
-	if n := len(ps.free); n > 0 {
-		p := ps.free[n-1]
-		ps.free = ps.free[:n-1]
-		for i := range p {
-			p[i] = 0
-		}
-		return p
-	}
-	return make([]float64, ps.d)
-}
-
-func (ps *sparkPartScratch) densify(row matrix.SparseVector, mean []float64) matrix.SparseVector {
-	if cap(ps.idx) < row.Len {
-		ps.idx = make([]int, row.Len)
-		ps.vals = make([]float64, row.Len)
-	}
-	return matrix.DensifyCenteredInto(row, mean, ps.idx[:row.Len], ps.vals[:row.Len])
 }
 
 // sparkYtXJob is Algorithm 5: one map pass computing X on demand, folding
 // XtX/YtX/ΣX partials into accumulators inside the map (no reduce stage).
 func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver, opt Options, scr *sparkScratch) (jobSums, error) {
 	d := em.d
-	acc := rdd.NewAccumulator(ctx, "YtXSum", scr.resetAccZero(),
-		func(into, from *sparkSums) *sparkSums { into.merge(from); return into },
-		func(s *sparkSums) int64 { return s.bytes(d) },
-	)
+	fold := scr.fold
+	fold.reset()
+	acc := rdd.NewAccumulator(ctx, "YtXSum", fold, (*sparkSums).merge, (*sparkSums).bytes)
 	err := y.ForeachPartition("YtXJob", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		ps := scr.ytxPart(task, d)
-		local, xi := ps.sums, ps.xi
+		ps := scr.ytxPart(task, part, d, opt.MeanPropagation)
+		local, off, xi := ps.sums, ps.off, ps.xi
 		for _, row := range part {
 			if !opt.MeanPropagation {
 				row = ps.densify(row, em.mean)
 			}
 			computeRowLatent(row, em, opt.MeanPropagation, xi)
 			for k, j := range row.Indices {
-				p := local.ytx[j]
-				if p == nil {
-					p = ps.vec()
-					local.ytx[j] = p
-				}
-				matrix.AXPY(row.Values[k], xi, p)
+				local.add(off, j, row.Values[k], xi)
 			}
 			for a := 0; a < d; a++ {
 				va := xi[a]
@@ -398,17 +406,9 @@ func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver
 	if err != nil {
 		return jobSums{}, err
 	}
-	total := acc.Value()
-	sums := scr.sums
-	sums.ytx.Zero()
-	// Copy, not alias: total.sumX is the pooled accumulator zero, which the
-	// next pass clears while the driver still holds these sums.
-	copy(sums.sumX, total.sumX)
-	for j, v := range total.ytx {
-		copy(sums.ytx.Row(j), v)
-	}
-	copy(sums.xtx.Data, total.xtx)
-	return sums, nil
+	// Value folds every partial into scr.sums, the fold target's storage.
+	acc.Value()
+	return scr.sums, nil
 }
 
 func sparkSS3Job(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver, cNew *matrix.Dense, opt Options, scr *sparkScratch) (float64, error) {
@@ -418,7 +418,7 @@ func sparkSS3Job(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver
 		func(float64) int64 { return 8 },
 	)
 	err := y.ForeachPartition("ss3Job", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		ps := scr.ss3Part(task, d)
+		ps := &scr.parts[task] // the ss3 pass only uses the per-row buffers
 		xi, ct := ps.xi, ps.ct
 		var local float64
 		for _, row := range part {
@@ -477,12 +477,11 @@ func sparkUnoptimized(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims in
 	}, int64(d)*8)
 
 	// Pass 1: XtX and ΣX from the stored X.
-	xtxAcc := rdd.NewAccumulator(ctx, "XtXSum", newSparkSums(d),
-		func(into, from *sparkSums) *sparkSums { into.merge(from); return into },
-		func(s *sparkSums) int64 { return s.bytes(d) },
-	)
+	sums := newJobSums(dims, d)
+	xtxFold := newSparkFold(sums.ytx, sums.xtx.Data, sums.sumX)
+	xtxAcc := rdd.NewAccumulator(ctx, "XtXSum", xtxFold, (*sparkSums).merge, (*sparkSums).bytes)
 	err := pairs.ForeachPartition("XtXJob", func(task int, part []pairYX, ops *rdd.TaskOps) {
-		local := newSparkSums(d)
+		local := &sparkSums{d: d, xtx: make([]float64, d*d), sumX: make([]float64, d)}
 		for _, p := range part {
 			for a := 0; a < d; a++ {
 				va := p.x[a]
@@ -501,24 +500,21 @@ func sparkUnoptimized(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims in
 	}
 
 	// Pass 2: YtX from Y joined with the stored X.
-	ytxAcc := rdd.NewAccumulator(ctx, "YtXSum", newSparkSums(d),
-		func(into, from *sparkSums) *sparkSums { into.merge(from); return into },
-		func(s *sparkSums) int64 { return s.bytes(d) },
-	)
+	ytxFold := newSparkFold(sums.ytx, nil, nil)
+	ytxAcc := rdd.NewAccumulator(ctx, "YtXSum", ytxFold, (*sparkSums).merge, (*sparkSums).bytes)
 	err = pairs.ForeachPartition("YtXJoinJob", func(task int, part []pairYX, ops *rdd.TaskOps) {
-		local := newSparkSums(d)
+		ys := make([]matrix.SparseVector, len(part))
+		for i, p := range part {
+			ys[i] = p.y
+		}
+		local, off := layoutSparkSums(ys, dims, d, !opt.MeanPropagation, false)
 		for _, p := range part {
 			row := p.y
 			if !opt.MeanPropagation {
 				row = densifyCentered(row, em.mean)
 			}
 			for k, j := range row.Indices {
-				q := local.ytx[j]
-				if q == nil {
-					q = make([]float64, d)
-					local.ytx[j] = q
-				}
-				matrix.AXPY(row.Values[k], p.x, q)
+				local.add(off, j, row.Values[k], p.x)
 			}
 			ops.AddOps(int64(row.NNZ() * d))
 		}
@@ -527,38 +523,7 @@ func sparkUnoptimized(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims in
 	if err != nil {
 		return jobSums{}, err
 	}
-
-	xres := xtxAcc.Value()
-	yres := ytxAcc.Value()
-	sums := jobSums{
-		ytx:  matrix.NewDense(dims, d),
-		xtx:  matrix.NewDense(d, d),
-		sumX: xres.sumX,
-	}
-	for j, v := range yres.ytx {
-		copy(sums.ytx.Row(j), v)
-	}
-	copy(sums.xtx.Data, xres.xtx)
+	xtxAcc.Value()
+	ytxAcc.Value()
 	return sums, nil
-}
-
-func smartGuessSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Options, em *emDriver) error {
-	n := smartGuessSize(opt, len(rows))
-	if n >= len(rows) {
-		return nil
-	}
-	sample := sampleSparseRows(matrix.SparseFromRows(rows, dims), n, opt.Seed+0x5A)
-	subOpt := opt
-	subOpt.SmartGuess = false
-	subOpt.TargetAccuracy = 0
-	subOpt.IdealError = 0
-	subOpt.MaxIter = 5
-	res, err := FitLocal(sample, subOpt)
-	if err != nil {
-		return err
-	}
-	ctx.Cluster().AddDriverCompute(int64(subOpt.MaxIter) * 2 * int64(sample.NNZ()) * int64(opt.Components))
-	em.c = res.Components
-	em.ss = res.SS
-	return nil
 }

@@ -27,21 +27,21 @@ func benchDriver(b *testing.B, n, dims, d int) (*matrix.Sparse, *emDriver) {
 }
 
 // BenchmarkSteadyYtxMapperMap measures one row through the consolidated
-// YtX/XtX/ΣX mapper on warm scratch. allocs/op must be ~0.
+// YtX/XtX/ΣX mapper, accumulating in a warm flat-slab emitter. allocs/op
+// must be ~0.
 func BenchmarkSteadyYtxMapperMap(b *testing.B) {
 	y, em := benchDriver(b, 512, 128, 10)
-	scr := newYtxTaskScratch(em.d)
-	m := &ytxMapper{em: em, meanProp: true, d: em.d, scr: scr}
-	emit := nopEmitter[int, []float64]{}
-	for i := 0; i < y.R; i++ { // warm-up: size freelist + map buckets
+	scr := newMRScratch(1, em.d)
+	emit := mapred.NewTaskEmitter(scr.denseYtX(y.C, em.d), sumVec)
+	m := &ytxMapper{em: em, meanProp: true, d: em.d, scr: scr.tasks[0]}
+	for i := 0; i < y.R; i++ { // warm-up: grow the slab
 		m.Map(y.Row(i), emit)
 	}
-	scr.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%y.R == 0 {
-			scr.reset()
+			emit.Reset()
 		}
 		m.Map(y.Row(i%y.R), emit)
 	}
@@ -51,7 +51,7 @@ func BenchmarkSteadyYtxMapperMap(b *testing.B) {
 // mapper on warm scratch. allocs/op must be ~0.
 func BenchmarkSteadySS3MapperMap(b *testing.B) {
 	y, em := benchDriver(b, 512, 128, 10)
-	scr := newSS3TaskScratch(em.d)
+	scr := newTaskScratches(1, em.d)[0]
 	m := &ss3Mapper{em: em, c: em.c, meanProp: true, assoc: true, d: em.d, scr: scr}
 	emit := nopEmitter[int, float64]{}
 	for i := 0; i < y.R; i++ {

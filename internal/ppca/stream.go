@@ -121,11 +121,7 @@ func (e *streamEngine) prepared(*emDriver)        {}
 func (e *streamEngine) pass(em *emDriver) (jobSums, error) {
 	// Consolidated YtX/XtX/ΣX in one sequential scan.
 	sums := e.pooled
-	sums.ytx.Zero()
-	sums.xtx.Zero()
-	for k := range sums.sumX {
-		sums.sumX[k] = 0
-	}
+	sums.zero()
 	xi := e.xi
 	if err := e.src.Scan(func(i int, row matrix.SparseVector) error {
 		computeLatentRow(row, em, xi)
@@ -163,5 +159,5 @@ func (e *streamEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 }
 
 func (e *streamEngine) reconErr(em *emDriver) float64 {
-	return em.reconError(e.sample, e.sampleRows)
+	return reconError(em, e.sample, e.sampleRows)
 }

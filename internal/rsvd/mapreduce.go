@@ -15,8 +15,8 @@ import (
 // iterations (Q ← QR(Yc·(YcᵀQ))), then take the small SVD of B = YcᵀQ on the
 // driver. Unlike the Mahout baseline in internal/ssvd, the B job uses
 // in-mapper combining (one k-vector per column per task instead of one per
-// non-zero), and every mapper runs on per-task pooled scratch with zero
-// steady-state allocations.
+// non-zero, accumulated in the engine's shuffle slab), and every mapper runs
+// with zero steady-state allocations.
 func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt Options) (*Result, error) {
 	if err := opt.validate(len(rows), dims); err != nil {
 		return nil, err
@@ -181,23 +181,31 @@ func (e *mrEngine) projectJob(name string, b *matrix.Dense) error {
 }
 
 // bJob computes B = YcᵀQ (D x k) with in-mapper combining: each task folds
-// its rows into a column-keyed accumulator map and emits one k-vector per
-// touched column in Cleanup — the combining Mahout's Bt job lacks.
+// its rows into one k-vector per touched column, accumulated in place in the
+// emitter's rows — the combining Mahout's Bt job lacks. The reducers sum each
+// column straight into its row of e.b.
 func (e *mrEngine) bJob(q *matrix.Dense) error {
 	k := q.C
+	if e.b == nil {
+		e.b = matrix.NewDense(e.dims, k)
+	}
+	e.b.Zero()
+	// The mapper holds no state of its own, so every task shares one.
+	bt := &btMapper{k: k, q: q}
 	job := mapred.Job[indexedRow, int, []float64, []float64]{
 		Name: "rsvd-b",
-		NewMapper: func(task int) mapred.Mapper[indexedRow, int, []float64] {
-			m := e.scr.bt[task]
-			m.reset(k, q)
-			return m
+		NewMapper: func(int) mapred.Mapper[indexedRow, int, []float64] {
+			return bt
 		},
 		Combine: func(a, b []float64) []float64 {
 			matrix.AXPY(1, b, a)
 			return a
 		},
-		Reduce: func(_ int, vs [][]float64, o mapred.Ops) []float64 {
-			sum := make([]float64, k)
+		// Column j's row is cleared and the values added in order — the same
+		// sum a fresh vector would hold — so a retried attempt recomputes it.
+		Reduce: func(j int, vs [][]float64, o mapred.Ops) []float64 {
+			sum := e.b.Row(j)
+			clear(sum)
 			for _, v := range vs {
 				matrix.AXPY(1, v, sum)
 				o.AddOps(int64(k))
@@ -212,16 +220,8 @@ func (e *mrEngine) bJob(q *matrix.Dense) error {
 		ResultBytes: mapred.BytesOfVec,
 		Dense:       e.scr.denseB(e.dims, k),
 	}
-	out, err := mapred.Run(e.eng, job, e.indexed)
-	if err != nil {
+	if _, err := mapred.Run(e.eng, job, e.indexed); err != nil {
 		return err
-	}
-	if e.b == nil {
-		e.b = matrix.NewDense(e.dims, k)
-	}
-	e.b.Zero()
-	for j, v := range out {
-		copy(e.b.Row(j), v)
 	}
 	// Mean propagation on the driver: B = YᵀQ - Ym ⊗ colSum(Q).
 	colSum := e.scr.mb(k) // reuse of the k-sized driver buffer is safe here
@@ -299,7 +299,6 @@ func (m *meanMapper) Cleanup(out mapred.Emitter[int, float64]) {
 // mrScratch owns every reused mapper-side buffer, indexed by task.
 type mrScratch struct {
 	proj  []*projMapper
-	bt    []*btMapper
 	mbBuf []float64
 	// Flat-slab shuffle specs, one stable pointer per job shape so every
 	// round reuses the engine's pooled slabs via the cheap same-spec reset.
@@ -324,10 +323,9 @@ func (s *mrScratch) denseB(dims, k int) *mapred.DenseSpec {
 }
 
 func newMRScratch(tasks int) *mrScratch {
-	s := &mrScratch{proj: make([]*projMapper, tasks), bt: make([]*btMapper, tasks)}
+	s := &mrScratch{proj: make([]*projMapper, tasks)}
 	for i := range s.proj {
 		s.proj[i] = &projMapper{}
-		s.bt[i] = &btMapper{}
 	}
 	return s
 }
@@ -390,59 +388,22 @@ func (m *projMapper) Map(rec indexedRow, out mapred.Emitter[int, []float64]) {
 
 func (m *projMapper) Cleanup(mapred.Emitter[int, []float64]) {}
 
-// btMapper folds B-contributions into a column-keyed map (in-mapper
-// combining) and emits once per touched column in Cleanup. Emission order is
-// the map's, which is fine: every column is emitted at most once per task,
-// and the reducer's value list is ordered by task, so the fold stays
-// deterministic.
+// btMapper folds B-contributions into one k-vector per touched column, held
+// in the emitter's rows (mapred.RowEmitter): each column's partial exists
+// once per task, in the layout the shuffle ships, and Cleanup has nothing
+// left to flush.
 type btMapper struct {
-	k    int
-	q    *matrix.Dense
-	bt   map[int][]float64
-	free [][]float64
-}
-
-func (m *btMapper) reset(k int, q *matrix.Dense) {
-	if m.k != k {
-		m.bt, m.free, m.k = nil, nil, k
-	}
-	if m.bt == nil {
-		m.bt = map[int][]float64{}
-	}
-	for j, v := range m.bt {
-		m.free = append(m.free, v)
-		delete(m.bt, j)
-	}
-	m.q = q
-}
-
-func (m *btMapper) vec() []float64 {
-	if n := len(m.free); n > 0 {
-		v := m.free[n-1]
-		m.free = m.free[:n-1]
-		for i := range v {
-			v[i] = 0
-		}
-		return v
-	}
-	return make([]float64, m.k)
+	k int
+	q *matrix.Dense
 }
 
 func (m *btMapper) Map(rec indexedRow, out mapred.Emitter[int, []float64]) {
+	acc := out.(mapred.RowEmitter)
 	qi := m.q.Row(rec.idx)
 	for t, j := range rec.row.Indices {
-		v := m.bt[j]
-		if v == nil {
-			v = m.vec()
-			m.bt[j] = v
-		}
-		matrix.AXPY(rec.row.Values[t], qi, v)
+		matrix.AXPY(rec.row.Values[t], qi, acc.Row(j, m.k))
 	}
 	out.AddOps(int64(rec.row.NNZ() * m.k))
 }
 
-func (m *btMapper) Cleanup(out mapred.Emitter[int, []float64]) {
-	for j, v := range m.bt {
-		out.Emit(j, v)
-	}
-}
+func (*btMapper) Cleanup(mapred.Emitter[int, []float64]) {}

@@ -16,7 +16,8 @@
 //     parallel, and fault-injected runs.
 //   - Zero steady-state allocations in mappers: per-task scratch is sized by
 //     the engine's split/partition count, allocated on the first round, and
-//     recycled through freelists afterwards.
+//     recycled afterwards; the MapReduce B job's partials accumulate in the
+//     engine's pooled shuffle slabs.
 //   - Exact tracing: every charged phase flows through the cluster, so leaf
 //     trace spans sum to the run Metrics bit for bit.
 //   - Checkpoint/resume at sketch-round granularity: the rounds run on the
