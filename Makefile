@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check vet build test race procs-smoke serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
 
-check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench-smoke bench-compare-smoke
+check: vet build test race procs-smoke serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke perfbench-smoke bench-smoke bench-compare-smoke
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,13 @@ test:
 # the context and watchdog goroutines while the driver polls it.
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/matrix ./internal/rsvd ./internal/serve ./internal/rounds ./internal/ppca
+
+# One-core leg: the MapReduce engine runs its tasks on min(cores, splits,
+# parallel.Workers()) workers, the calling goroutine among them, so at
+# GOMAXPROCS=1 every map and reduce task runs inline. The engine and EM suites
+# must pass there too.
+procs-smoke:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/mapred ./internal/ppca ./internal/rsvd
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.

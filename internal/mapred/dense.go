@@ -4,9 +4,10 @@
 // values are flat float64 vectors. For that shape the generic map-based
 // emitter, the post-hoc digest walks, and (dominant of all) the
 // fmt.Sprint-based key sort are pure overhead: runDense replaces them with
-// pooled per-task slabs ([]float64 rows plus an offset table), incremental
-// byte/digest accounting at emit time, and an allocation-free key
-// comparator that reproduces the generic path's string order exactly.
+// pooled per-task slabs (rows in fixed []float64 chunks plus one index
+// table), incremental byte/digest accounting at emit time, and an
+// allocation-free key comparator that reproduces the generic path's string
+// order exactly.
 //
 // The fast path is an optimization, not a semantic fork: results, simulated
 // -time charges, trace spans, and fault/corruption behavior are bit-identical
@@ -21,8 +22,8 @@
 // shuffle reads. Three rules keep this exact:
 //   - the row's modeled size (ValueBytes) depends only on its length, so the
 //     bytes and digest stamped at claim time still hold after accumulation;
-//   - a row is valid only until the next claim of a new key in the task,
-//     because growing the slab moves its storage;
+//   - a row stays where it was claimed until the attempt ends: slab storage
+//     is chunked and a full chunk is followed by a new one, never regrown;
 //   - a retried attempt rewinds the slab, so the fresh mapper re-claims every
 //     row zeroed and recomputes it from its input split.
 //
@@ -39,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"spca/internal/cluster"
+	"spca/internal/parallel"
 	"spca/internal/trace"
 )
 
@@ -87,160 +89,161 @@ func (s *DenseSpec) widthOf(slot int) int {
 	return s.Width
 }
 
-// slabKey pools slabs by layout shape rather than by spec pointer, so
-// engines that outlive many fits (each building fresh specs) keep a bounded
-// pool: one entry per distinct job shape.
-type slabKey struct {
-	minKey, keys, width int
-}
+// chunkFloats is the slab's storage unit in float64s (8 KiB).
+const chunkFloats = 1024
 
-func (s *DenseSpec) key() slabKey {
-	return slabKey{minKey: s.MinKey, keys: s.Keys, width: s.Width}
-}
-
-// denseSlab is one map task's flat shuffle payload: value rows packed into a
-// single []float64 in first-touch order, with a per-slot offset table in
-// place of a map. Slabs are pooled on the engine and reused across jobs and
-// EM iterations; data handed out through Reduce stays valid until the next
-// Run checks the slab out again.
-type denseSlab struct {
-	spec    *DenseSpec
-	data    []float64 // packed value rows, first-touch order
-	off     []int32   // per slot: row offset into data, -1 if untouched
-	n       []int32   // per slot: logical row length
-	touched []int32   // touched slots in first-touch order
-	total   int       // float capacity if every slot were touched (growth bound)
-	bytes   int64     // modeled wire size, maintained at first emit
-	dig     cluster.PayloadDigest
-}
-
-// prepare readies the slab for a fresh Run under spec. Same-spec reuse (the
-// steady state of a fit loop holding one spec per job) only rewinds the
-// touched slots; a different spec of the same shape rebuilds the offset
-// table but keeps the storage.
-func (s *denseSlab) prepare(spec *DenseSpec) {
-	if s.spec == spec && len(s.off) == spec.Keys {
-		s.reset()
-		return
-	}
-	s.spec = spec
-	s.total = spec.Keys * spec.Width
-	for k, w := range spec.WideKeys {
-		if slot := k - spec.MinKey; slot >= 0 && slot < spec.Keys {
-			s.total += w - spec.Width
+// chunk returns the chunk size of the spec's slabs: about chunkFloats, a
+// whole number of Width-wide rows, capped by the spec's total float count
+// with every slot touched (so a single-scalar job's chunk is one float).
+func (s *DenseSpec) chunk() int {
+	total := s.Keys * s.Width
+	for k, w := range s.WideKeys {
+		if slot := k - s.MinKey; slot >= 0 && slot < s.Keys {
+			total += w - s.Width
 		}
 	}
-	s.data = s.data[:0]
-	s.touched = s.touched[:0]
-	if cap(s.off) < spec.Keys {
-		s.off = make([]int32, spec.Keys)
-		s.n = make([]int32, spec.Keys)
+	return min(max(chunkFloats/s.Width, 1)*s.Width, total)
+}
+
+// slabRow is one claimed row: slot's n floats at off in chunk.
+type slabRow struct{ slot, chunk, off, n int32 }
+
+// denseSlab is one map task's flat shuffle payload: value rows claimed in
+// first-touch order inside fixed chunks, with a per-slot index into the row
+// list in place of a map. A full chunk is followed by the next one, never
+// regrown, so a claimed row does not move. The engine pools slabs in one
+// free list shared by every dense job, chunks and index table included; data
+// handed out through Reduce stays valid until the next Run checks the slab
+// out again.
+type denseSlab struct {
+	spec   *DenseSpec
+	chunks [][]float64 // row storage, kept across attempts, jobs and Runs
+	cur    int         // chunk being filled
+	used   int         // floats claimed in chunks[cur]
+	// idx maps a slot to its row in rows, -1 if untouched. Every entry up to
+	// cap(idx) is -1 except the touched slots, so reslicing it to another
+	// spec's Keys needs no fill.
+	idx   []int32
+	rows  []slabRow // claimed rows, first-touch order
+	bytes int64     // modeled wire size, maintained at first emit
+	dig   cluster.PayloadDigest
+}
+
+// prepare readies the slab for a fresh Run under spec: the touched slots are
+// reset, then the index table is resliced to spec's key range.
+func (s *denseSlab) prepare(spec *DenseSpec) {
+	s.reset()
+	if cap(s.idx) < spec.Keys {
+		s.idx = newIndex(spec.Keys)
 	}
-	s.off = s.off[:spec.Keys]
-	s.n = s.n[:spec.Keys]
-	for i := range s.off {
-		s.off[i] = -1
+	s.spec = spec
+	s.idx = s.idx[:spec.Keys]
+}
+
+// newIndex returns an all-untouched index table of n slots.
+func newIndex(n int) []int32 {
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = -1
 	}
-	s.bytes = 0
-	s.dig.Reset()
+	return t
 }
 
 // reset rewinds the slab for a retry of a failed attempt (or the next Run's
-// first attempt): only the touched slots are cleared, so a warm slab resets
-// in O(touched) with zero allocations.
+// first attempt): only the touched slots are cleared and the chunks are
+// refilled from the first, so a warm slab resets in O(touched) with zero
+// allocations.
 func (s *denseSlab) reset() {
-	for _, slot := range s.touched {
-		s.off[slot] = -1
+	for _, r := range s.rows {
+		s.idx[r.slot] = -1
 	}
-	s.touched = s.touched[:0]
-	s.data = s.data[:0]
+	s.rows = s.rows[:0]
+	s.cur, s.used = 0, 0
 	s.bytes = 0
 	s.dig.Reset()
 }
 
 // claim reserves a width-long row for slot and returns it for the first
-// store. Rows pack in first-touch order, so slab memory scales with the keys
-// a task actually emits, not with the full key space. The region is not
-// zeroed: the store overwrites all of it, and nothing reads beyond the
-// logical length. Growth is 4× but capped at the spec's total float count —
-// a slab whose spec fits entirely under the first allocation (e.g. a
-// single-scalar job) allocates exactly once and never grows again.
+// store. The row goes in the current chunk if it fits, else in the next
+// chunk that holds it; past the last chunk a new one is appended, of the
+// spec's chunk size or of the row's width if that is larger. Slab memory so
+// scales with the keys a task actually emits, and no row is ever copied. The
+// region is not zeroed: the store overwrites all of it.
 func (s *denseSlab) claim(slot, width int) []float64 {
-	o := len(s.data)
-	if cap(s.data) < o+width {
-		c := min(max(4*cap(s.data), o+width, 64), s.total)
-		if c < o+width { // spec changed shape under pooling; never under-size
-			c = o + width
-		}
-		grown := make([]float64, o, c)
-		copy(grown, s.data)
-		s.data = grown
+	for s.cur < len(s.chunks) && s.used+width > len(s.chunks[s.cur]) {
+		s.cur++
+		s.used = 0
 	}
-	s.data = s.data[:o+width]
-	s.off[slot] = int32(o)
-	s.touched = append(s.touched, int32(slot))
-	return s.data[o : o+width]
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]float64, max(width, s.spec.chunk())))
+	}
+	o := s.used
+	s.used += width
+	s.idx[slot] = int32(len(s.rows))
+	s.rows = append(s.rows, slabRow{slot: int32(slot), chunk: int32(s.cur), off: int32(o), n: int32(width)})
+	return s.chunks[s.cur][o : o+width : o+width]
 }
 
-// row returns slot's stored logical row, or nil when untouched.
+// at returns the i-th claimed row.
+func (s *denseSlab) at(i int32) []float64 {
+	r := s.rows[i]
+	return s.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// row returns slot's stored row, or nil when untouched.
 func (s *denseSlab) row(slot int) []float64 {
-	o := s.off[slot]
-	if o < 0 {
-		return nil
+	if i := s.idx[slot]; i >= 0 {
+		return s.at(i)
 	}
-	return s.data[o : int(o)+int(s.n[slot])]
+	return nil
 }
 
-// slabsFor checks out splits prepared slabs for a dense job, reusing pooled
-// storage shape-for-shape.
+// slabsFor checks out splits prepared slabs for a dense job from the
+// engine's free list. Cold slabs, their row lists, and index tables too
+// short for spec are carved from one allocation each. A cold row list starts
+// with room for a full chunk of spec's rows instead of growing from one by
+// copying.
 func (e *Engine) slabsFor(spec *DenseSpec, splits int) []*denseSlab {
-	key := spec.key()
 	e.mu.Lock()
-	free := e.slabs[key]
-	take := len(free)
-	if take > splits {
-		take = splits
-	}
+	take := min(len(e.slabs), splits)
 	slabs := make([]*denseSlab, splits)
-	copy(slabs, free[len(free)-take:])
-	if take > 0 {
-		e.slabs[key] = free[:len(free)-take]
-	}
+	copy(slabs, e.slabs[len(e.slabs)-take:])
+	e.slabs = e.slabs[:len(e.slabs)-take]
 	e.mu.Unlock()
-	miss := splits - take
-	if miss > 0 {
-		// Cold checkout: carve the missing slabs and their offset tables from
-		// two batch allocations instead of 3×miss small ones.
-		block := make([]denseSlab, miss)
-		tables := make([]int32, 2*miss*spec.Keys)
-		for i, j := 0, 0; i < splits; i++ {
-			if slabs[i] == nil {
-				s := &block[j]
-				s.off = tables[:spec.Keys:spec.Keys]
-				s.n = tables[spec.Keys : 2*spec.Keys : 2*spec.Keys]
-				tables = tables[2*spec.Keys:]
-				slabs[i] = s
-				j++
+	block := make([]denseSlab, splits-take)
+	perSlab := spec.chunk() / spec.Width
+	rows := make([]slabRow, len(block)*perSlab)
+	for i := range block {
+		block[i].rows, rows = rows[:0:perSlab], rows[perSlab:]
+		slabs[take+i] = &block[i]
+	}
+	short := 0
+	for _, s := range slabs {
+		if cap(s.idx) < spec.Keys {
+			short++
+		}
+	}
+	if short > 0 {
+		tables := newIndex(short * spec.Keys)
+		for _, s := range slabs {
+			if cap(s.idx) < spec.Keys {
+				s.idx, tables = tables[:spec.Keys:spec.Keys], tables[spec.Keys:]
 			}
 		}
 	}
-	for i := range slabs {
-		slabs[i].prepare(spec)
+	for _, s := range slabs {
+		s.prepare(spec)
 	}
 	return slabs
 }
 
-// putSlabs returns a Run's slabs to the pool. The data is not cleared — the
-// job's result map may still alias it — so the previous Run's views go stale
-// only when the next checkout rewinds the slab, which is the documented
-// lifetime contract.
-func (e *Engine) putSlabs(spec *DenseSpec, slabs []*denseSlab) {
-	key := spec.key()
+// putSlabs returns a Run's slabs to the free list. The data is not cleared —
+// the job's result map may still alias it — so the previous Run's views go
+// stale only when the next checkout rewinds the slab, which is the
+// documented lifetime contract.
+func (e *Engine) putSlabs(slabs []*denseSlab) {
 	e.mu.Lock()
-	if e.slabs == nil {
-		e.slabs = make(map[slabKey][]*denseSlab)
-	}
-	e.slabs[key] = append(e.slabs[key], slabs...)
+	e.slabs = append(e.slabs, slabs...)
 	e.mu.Unlock()
 }
 
@@ -308,12 +311,12 @@ func (em *denseEmitter[V]) reset() {
 func (em *denseEmitter[V]) Emit(k int, v V) {
 	s := em.slab
 	slot := em.slot(k)
-	if o := s.off[slot]; o >= 0 {
+	if i := s.idx[slot]; i >= 0 {
 		if em.combine == nil {
 			panic(fmt.Sprintf("mapred: job %q emitted key %d twice in one task without a Combine",
 				em.name, k))
 		}
-		em.cd.merge(s.data[o:int(o)+int(s.n[slot])], v, em.combine)
+		em.cd.merge(s.at(i), v, em.combine)
 		return
 	}
 	row := em.claim(slot, k, em.cd.width(v))
@@ -328,12 +331,12 @@ func (em *denseEmitter[V]) Emit(k int, v V) {
 func (em *denseEmitter[V]) Row(k, width int) []float64 {
 	s := em.slab
 	slot := em.slot(k)
-	if o := s.off[slot]; o >= 0 {
-		if int(s.n[slot]) != width {
+	if i := s.idx[slot]; i >= 0 {
+		if n := s.rows[i].n; int(n) != width {
 			panic(fmt.Sprintf("mapred: job %q asked for a width-%d row for key %d holding %d",
-				em.name, width, k, s.n[slot]))
+				em.name, width, k, n))
 		}
-		return s.data[o : int(o)+width : int(o)+width]
+		return s.at(i)
 	}
 	if em.combine == nil {
 		panic(fmt.Sprintf("mapred: job %q called Row without a Combine", em.name))
@@ -362,9 +365,7 @@ func (em *denseEmitter[V]) claim(slot, k, w int) []float64 {
 		panic(fmt.Sprintf("mapred: job %q emitted a width-%d value for key %d; DenseSpec allows %d",
 			em.name, w, k, maxW))
 	}
-	row := s.claim(slot, w)
-	s.n[slot] = int32(w)
-	return row[:w:w]
+	return s.claim(slot, w)
 }
 
 // account folds a freshly claimed row's modeled size into the slab's bytes
@@ -402,9 +403,9 @@ func (t *TaskEmitter) Reset() { t.reset() }
 func slabPayload[V any](s *denseSlab, kbf func(int) int64, vbf func(V) int64, cd denseCodec[V]) (int64, uint64) {
 	var total int64
 	var dig cluster.PayloadDigest
-	for _, slot := range s.touched {
-		kb := kbf(int(slot) + s.spec.MinKey)
-		vb := vbf(cd.view(s.row(int(slot))))
+	for i, r := range s.rows {
+		kb := kbf(int(r.slot) + s.spec.MinKey)
+		vb := vbf(cd.view(s.at(int32(i))))
 		total += kb + vb
 		dig.Add(kb, vb)
 	}
@@ -468,66 +469,49 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 		}
 	}
 	slabs := e.slabsFor(spec, splits)
-	defer e.putSlabs(spec, slabs)
+	defer e.putSlabs(slabs)
 
-	// Worker-pool execution: a bounded set of workers pulls task indices from
-	// an atomic counter instead of spawning one goroutine per task, and the
-	// per-task emitters live in one batch allocation. Fault draws are keyed by
-	// (phase, task, attempt), so dynamic task-to-worker assignment cannot
-	// change any simulated-time charge.
+	// Worker-pool execution (runTasks): the per-task emitters live in one
+	// batch allocation. Fault draws are keyed by (phase, task, attempt), so
+	// dynamic task-to-worker assignment cannot change any simulated-time
+	// charge.
 	ems := make([]denseEmitter[V], splits)
-	var wg sync.WaitGroup
-	workers := e.Cluster.TotalCores()
-	if splits < workers {
-		workers = splits
-	}
-	var nextTask atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				task := int(nextTask.Add(1)) - 1
-				if task >= splits {
-					return
-				}
-				lo := task * len(input) / splits
-				hi := (task + 1) * len(input) / splits
-				tf := &mapFaults[task]
-				em := &ems[task]
-				*em = denseEmitter[V]{
-					name: job.Name, slab: slabs[task], combine: job.Combine,
-					cd: cd, kb: kbf, vb: vbf,
-				}
-				committed := false
-				for att := 1; att <= maxAtt && !committed; att++ {
-					if att > 1 {
-						em.reset() // retries rewind the slab in place
-					}
-					m := job.NewMapper(task)
-					for i := lo; i < hi; i++ {
-						m.Map(input[i], em)
-					}
-					m.Cleanup(em)
-					if plan.AttemptFails(mapPhase, task, att) {
-						tf.failed++
-						tf.wasted += em.ops
-						continue
-					}
-					outs[task] = taskOut{
-						ops: em.ops, att: att,
-						bytes: em.slab.bytes, digest: em.slab.dig.Sum(),
-					}
-					tf.chargeStraggler(plan, mapPhase, task, att, em.ops)
-					committed = true
-				}
-				if !committed {
-					tf.exhausted = true
-				}
+	workers := min(e.Cluster.TotalCores(), splits, parallel.Workers())
+	runTasks(splits, workers, func(_, task int) {
+		lo := task * len(input) / splits
+		hi := (task + 1) * len(input) / splits
+		tf := &mapFaults[task]
+		em := &ems[task]
+		*em = denseEmitter[V]{
+			name: job.Name, slab: slabs[task], combine: job.Combine,
+			cd: cd, kb: kbf, vb: vbf,
+		}
+		committed := false
+		for att := 1; att <= maxAtt && !committed; att++ {
+			if att > 1 {
+				em.reset() // retries rewind the slab in place
 			}
-		}()
-	}
-	wg.Wait()
+			m := job.NewMapper(task)
+			for i := lo; i < hi; i++ {
+				m.Map(input[i], em)
+			}
+			m.Cleanup(em)
+			if plan.AttemptFails(mapPhase, task, att) {
+				tf.failed++
+				tf.wasted += em.ops
+				continue
+			}
+			outs[task] = taskOut{
+				ops: em.ops, att: att,
+				bytes: em.slab.bytes, digest: em.slab.dig.Sum(),
+			}
+			tf.chargeStraggler(plan, mapPhase, task, att, em.ops)
+			committed = true
+		}
+		if !committed {
+			tf.exhausted = true
+		}
+	})
 
 	// Node-loss semantics, identical to the generic path: completed map
 	// outputs on a lost node are charged as re-executed.
@@ -596,9 +580,9 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 				ErrCorruptPayload, job.Name, t, maxAtt)
 		}
 		shuffleBytes += tb
-		for _, slot := range slabs[t].touched {
-			if !seen[slot] {
-				seen[slot] = true
+		for _, r := range slabs[t].rows {
+			if !seen[r.slot] {
+				seen[r.slot] = true
 				nKeys++
 			}
 		}
@@ -651,70 +635,51 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 	redOuts := make([]redOut, redTasks)
 	redFaults := make([]taskFaults, redTasks)
 	redOcs := make([]opsCounter, redTasks)
-	// One gather buffer per reduce task, carved from a single arena.
-	valsArena := make([]V, redTasks*len(slabs))
-	var redWg sync.WaitGroup
-	slots := reducers
-	if tc := e.Cluster.TotalCores(); tc < slots {
-		slots = tc
-	}
-	if redTasks < slots {
-		slots = redTasks
-	}
-	var nextRed atomic.Int64
-	for w := 0; w < slots; w++ {
-		redWg.Add(1)
-		go func() {
-			defer redWg.Done()
-			for {
-				task := int(nextRed.Add(1)) - 1
-				if task >= redTasks {
-					return
-				}
-				lo := task * len(keys) / redTasks
-				hi := (task + 1) * len(keys) / redTasks
-				taskKeys := keys[lo:hi]
-				taskRes := results[lo:hi]
-				tf := &redFaults[task]
-				// Per-key value gather, in map-task order (the same order the
-				// generic shuffle builds its groups in), reused across keys.
-				vals := valsArena[task*len(slabs) : task*len(slabs) : (task+1)*len(slabs)]
-				committed := false
-				for att := 1; att <= maxAtt && !committed; att++ {
-					oc := &redOcs[task]
-					oc.n = 0
-					var taskBytes int64
-					var dig cluster.PayloadDigest
-					for i, k := range taskKeys {
-						slot := k - spec.MinKey
-						vals = vals[:0]
-						for _, s := range slabs {
-							if row := s.row(slot); row != nil {
-								vals = append(vals, cd.view(row))
-							}
-						}
-						r := job.Reduce(k, vals, oc)
-						kb, rb := kbf(k), rbf(r)
-						taskBytes += rb
-						dig.Add(kb, rb)
-						taskRes[i] = r
+	slots := min(reducers, e.Cluster.TotalCores(), redTasks, parallel.Workers())
+	// One gather buffer per worker, carved from a single arena.
+	gather := make([]V, slots*len(slabs))
+	runTasks(redTasks, slots, func(w, task int) {
+		lo := task * len(keys) / redTasks
+		hi := (task + 1) * len(keys) / redTasks
+		taskKeys := keys[lo:hi]
+		taskRes := results[lo:hi]
+		tf := &redFaults[task]
+		// Per-key value gather, in map-task order (the same order the
+		// generic shuffle builds its groups in), reused across keys.
+		vals := gather[w*len(slabs) : w*len(slabs) : (w+1)*len(slabs)]
+		committed := false
+		for att := 1; att <= maxAtt && !committed; att++ {
+			oc := &redOcs[task]
+			oc.n = 0
+			var taskBytes int64
+			var dig cluster.PayloadDigest
+			for i, k := range taskKeys {
+				slot := k - spec.MinKey
+				vals = vals[:0]
+				for _, s := range slabs {
+					if row := s.row(slot); row != nil {
+						vals = append(vals, cd.view(row))
 					}
-					if plan.AttemptFails(redPhase, task, att) {
-						tf.failed++
-						tf.wasted += oc.n
-						continue
-					}
-					tf.chargeStraggler(plan, redPhase, task, att, oc.n)
-					redOuts[task] = redOut{att: att, ops: oc.n, bytes: taskBytes, digest: dig.Sum()}
-					committed = true
 				}
-				if !committed {
-					tf.exhausted = true
-				}
+				r := job.Reduce(k, vals, oc)
+				kb, rb := kbf(k), rbf(r)
+				taskBytes += rb
+				dig.Add(kb, rb)
+				taskRes[i] = r
 			}
-		}()
-	}
-	redWg.Wait()
+			if plan.AttemptFails(redPhase, task, att) {
+				tf.failed++
+				tf.wasted += oc.n
+				continue
+			}
+			tf.chargeStraggler(plan, redPhase, task, att, oc.n)
+			redOuts[task] = redOut{att: att, ops: oc.n, bytes: taskBytes, digest: dig.Sum()}
+			committed = true
+		}
+		if !committed {
+			tf.exhausted = true
+		}
+	})
 	var redOps, outBytes int64
 	for t := range redOuts {
 		redOps += redOuts[t].ops
@@ -779,4 +744,30 @@ func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCo
 		result[k] = results[i]
 	}
 	return result, nil
+}
+
+// runTasks runs fn for every task in [0, tasks) on workers workers that pull
+// task indices from an atomic counter: workers-1 goroutines plus the calling
+// goroutine as worker 0, so a one-worker phase starts no goroutine.
+func runTasks(tasks, workers int, fn func(worker, task int)) {
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			task := int(next.Add(1)) - 1
+			if task >= tasks {
+				return
+			}
+			fn(w, task)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }

@@ -421,3 +421,137 @@ func TestDenseRowMatchesEmit(t *testing.T) {
 		})
 	}
 }
+
+// TestDenseRowsStayPut pins the stable-row contract: a row stays where it was
+// claimed, holding what the mapper wrote, however many rows the attempt
+// claims after it — including a row wider than a chunk, which gets a chunk
+// of its own.
+func TestDenseRowsStayPut(t *testing.T) {
+	const keys, d, wideW = 3000, 8, chunkFloats + 300
+	spec := &DenseSpec{MinKey: -1, Keys: keys + 1, Width: d, WideKeys: map[int]int{-1: wideW}}
+	em := NewTaskEmitter(spec, func(a, b []float64) []float64 {
+		matrix.AXPY(1, b, a)
+		return a
+	})
+	first := em.Row(0, d)
+	for i := range first {
+		first[i] = float64(i + 1)
+	}
+	wide := em.Row(-1, wideW)
+	wide[wideW-1] = 7
+	for k := 1; k < keys; k++ {
+		em.Row(k, d)[0] = float64(k)
+	}
+	if got := em.Row(0, d); &got[0] != &first[0] {
+		t.Fatal("the first claimed row moved after later claims")
+	}
+	for i, v := range first {
+		if v != float64(i+1) {
+			t.Fatalf("first row [%d] = %v after later claims, want %v", i, v, float64(i+1))
+		}
+	}
+	if got := em.Row(-1, wideW); &got[0] != &wide[0] || got[wideW-1] != 7 {
+		t.Fatal("the wide row moved or lost its contents after later claims")
+	}
+	if n := len(em.slab.chunks); n < 3 {
+		t.Fatalf("the attempt filled %d chunks; the test needs several", n)
+	}
+}
+
+// oneKeyJob is a Keys=1 scalar job, the shape of the Frobenius and ss3 jobs.
+func oneKeyJob() Job[int, int, float64, float64] {
+	job := denseScalarJob(1)
+	job.Name = "denseOneKey"
+	return job
+}
+
+// slabStorage lists the storage of the engine's pooled slabs — each chunk's
+// first element and length, and the index and row tables' capacities — so
+// two snapshots are equal only if no slab storage was allocated in between.
+func slabStorage(e *Engine) []string {
+	var out []string
+	for _, s := range e.slabs {
+		for _, c := range s.chunks {
+			out = append(out, fmt.Sprintf("%p/%d", &c[0], len(c)))
+		}
+		out = append(out, fmt.Sprintf("idx %d rows %d", cap(s.idx), cap(s.rows)))
+	}
+	return out
+}
+
+// TestDenseSlabsSharedAcrossShapes: one engine pools one set of slabs for
+// every dense job, so a Keys=1 job followed by a wide job of as many splits
+// reuses the same slab structs, and a warm second Run of either shape
+// allocates no slab storage.
+func TestDenseSlabsSharedAcrossShapes(t *testing.T) {
+	const n, d = 640, 6
+	input := make([]int, n)
+	for i := range input {
+		input[i] = i
+	}
+	e := testEngine()
+	if _, err := Run(e, oneKeyJob(), input); err != nil {
+		t.Fatal(err)
+	}
+	before := map[*denseSlab]bool{}
+	for _, s := range e.slabs {
+		before[s] = true
+	}
+	if _, err := Run(e, projStyleJob(n, d), input); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.slabs) != len(before) {
+		t.Fatalf("the wide job left %d pooled slabs, want the %d of the Keys=1 job", len(e.slabs), len(before))
+	}
+	for _, s := range e.slabs {
+		if !before[s] {
+			t.Fatal("the wide job checked out a new slab instead of reusing the Keys=1 job's")
+		}
+	}
+	for _, run := range []func() error{
+		func() error { _, err := Run(e, oneKeyJob(), input); return err },
+		func() error { _, err := Run(e, projStyleJob(n, d), input); return err },
+	} {
+		warm := slabStorage(e)
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := slabStorage(e); fmt.Sprint(got) != fmt.Sprint(warm) {
+			t.Fatalf("a warm Run allocated slab storage:\n before %v\n after  %v", warm, got)
+		}
+	}
+}
+
+// TestDenseColdChunkBound: on a cold Run each slab's chunks hold at most the
+// floats its task claimed plus one chunk — the storage is sized by what a
+// task touches and is never regrown by a factor. Each task claims 160 rows
+// of 8, a chunk and a quarter.
+func TestDenseColdChunkBound(t *testing.T) {
+	const n, d = 640, 8
+	input := make([]int, n)
+	for i := range input {
+		input[i] = i
+	}
+	e := testEngine()
+	e.Splits = 4
+	job := projStyleJob(n, d)
+	if _, err := Run(e, job, input); err != nil {
+		t.Fatal(err)
+	}
+	chunk := job.Dense.chunk()
+	for i, s := range e.slabs {
+		var claimed, held int
+		for _, r := range s.rows {
+			claimed += int(r.n)
+		}
+		for _, c := range s.chunks {
+			held += len(c)
+		}
+		if claimed <= chunk {
+			t.Fatalf("slab %d claimed %d floats, under one %d-float chunk; the test needs several", i, claimed, chunk)
+		}
+		if held > claimed+chunk {
+			t.Fatalf("slab %d holds %d floats for %d claimed, more than one %d-float chunk over", i, held, claimed, chunk)
+		}
+	}
+}

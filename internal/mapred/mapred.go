@@ -51,9 +51,9 @@ type RowEmitter interface {
 	// value; later touches return the same row, which the mapper keeps
 	// accumulating into. A row is the task's only copy of its partial: on the
 	// flat-slab path it lives in the shuffle slab, on the generic path in the
-	// emitter's value map. The slice is valid only until the next call that
-	// claims a new key (Row or Emit), which may move the storage, so use it
-	// at once. Emit on a key already claimed by Row merges through Combine.
+	// emitter's value map. The row is valid until the attempt ends: later
+	// claims of other keys never move it. Emit on a key already claimed by
+	// Row merges through Combine.
 	Row(k, width int) []float64
 }
 
@@ -134,7 +134,7 @@ type Engine struct {
 	mu       sync.Mutex
 	failSeed uint64
 	jobSeq   int64
-	slabs    map[slabKey][]*denseSlab
+	slabs    []*denseSlab // dense-job slab free list, shared by every job shape
 }
 
 // NewEngine returns an engine with Hadoop-like defaults on cl.

@@ -125,13 +125,14 @@ func broadcast(cl *cluster.Cluster, name string, bytes int64) {
 	})
 }
 
-// meanJob computes the column means with one MapReduce job. Mappers keep a
-// sparse in-memory partial (stateful combiner) and flush it in Cleanup.
+// meanJob computes the column means with one MapReduce job. Mappers emit
+// every non-zero and a row count of 1, and the Combine sums each key in place
+// in the task's shuffle slab: the slab is the stateful combiner's partial.
 func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float64, error) {
 	job := mapred.Job[matrix.SparseVector, int, float64, float64]{
 		Name: "meanJob",
 		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, float64] {
-			return &meanMapper{}
+			return meanMapper{}
 		},
 		Combine: func(a, b float64) float64 { return a + b },
 		Reduce: func(k int, vs []float64, o mapred.Ops) float64 {
@@ -165,11 +166,11 @@ func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float6
 	return mean, nil
 }
 
-// colSums is a per-task column-sum partial kept as a flat array plus a
-// first-touch list rather than a hash map: columns hit by any row of the task
-// index directly into partial, and the touched list names exactly the
-// columns the task saw (so the shuffle never carries zero entries for
-// columns it never saw). It backs both engines' mean jobs.
+// colSums is a Spark partition's column-sum partial kept as a flat array
+// plus a first-touch list rather than a hash map: columns hit by any row of
+// the partition index directly into partial, and the touched list names
+// exactly the columns the partition saw (so the shuffle never carries zero
+// entries for columns it never saw). It backs the Spark mean job.
 type colSums struct {
 	partial []float64
 	seen    []bool
@@ -217,20 +218,20 @@ func (c *colSums) merge(o *colSums) {
 	c.count += o.count
 }
 
-// meanMapper is the stateful combiner of meanJob.
-type meanMapper struct{ colSums }
+// meanMapper is the mapper of meanJob. It holds no partial of its own: each
+// emit lands in the key's slab entry, where the Combine adds it to the sum so
+// far, the same sum in the same order a private partial would hold.
+type meanMapper struct{}
 
-func (m *meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
-	m.add(row)
+func (meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
+	for k, j := range row.Indices {
+		out.Emit(j, row.Values[k])
+	}
+	out.Emit(keyMean, 1)
 	out.AddOps(int64(row.NNZ()))
 }
 
-func (m *meanMapper) Cleanup(out mapred.Emitter[int, float64]) {
-	for _, j := range m.touched {
-		out.Emit(int(j), m.partial[j])
-	}
-	out.Emit(keyMean, m.count)
-}
+func (meanMapper) Cleanup(out mapred.Emitter[int, float64]) {}
 
 // fnormJob computes ||Y - Ym||²_F. With efficient=true it uses the
 // sparsity-preserving Algorithm 3; otherwise the row-densifying Algorithm 2.
@@ -356,9 +357,8 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 // race; retried attempts of one task run sequentially in one goroutine.
 type mrScratch struct {
 	tasks []*taskScratch
-	// DenseSpecs of the per-iteration jobs, built once per fit: a stable
-	// spec pointer lets the engine's slab pool take its cheap same-spec
-	// reset path on every EM iteration.
+	// DenseSpecs of the per-iteration jobs, built once per fit so an EM
+	// iteration allocates no spec (the YtX spec carries a WideKeys map).
 	ytxSpec *mapred.DenseSpec
 	ss3Spec *mapred.DenseSpec
 }
@@ -569,8 +569,7 @@ func (m *ytxMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []float
 	computeRowLatent(row, m.em, m.meanProp, s.xi)
 	nnz := row.NNZ()
 	// YtX partial: only rows of Y's non-zeros are touched (for the
-	// mean-propagated path this is what keeps the partial sparse). Each row
-	// is used at once: the next claim may move the emitter's storage.
+	// mean-propagated path this is what keeps the partial sparse).
 	for k, j := range row.Indices {
 		matrix.AXPY(row.Values[k], s.xi, acc.Row(j, d))
 	}

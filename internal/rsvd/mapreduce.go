@@ -300,8 +300,8 @@ func (m *meanMapper) Cleanup(out mapred.Emitter[int, float64]) {
 type mrScratch struct {
 	proj  []*projMapper
 	mbBuf []float64
-	// Flat-slab shuffle specs, one stable pointer per job shape so every
-	// round reuses the engine's pooled slabs via the cheap same-spec reset.
+	// Flat-slab shuffle specs, built once per job shape so a sketch round
+	// allocates no spec.
 	projSpec *mapred.DenseSpec
 	bSpec    *mapred.DenseSpec
 }

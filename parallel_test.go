@@ -11,8 +11,10 @@ import (
 )
 
 // TestFitDeterministicUnderParallelism fits every algorithm twice — once with
-// the kernel pool forced sequential and once with chunked parallel execution
-// (4 workers, forced even on a single-core machine) — and requires the entire
+// the kernel pool forced sequential and one worker (so the MapReduce engine
+// runs every task on the calling goroutine), and once with chunked parallel
+// execution (4 workers, forced even on a single-core machine; the engine then
+// runs its tasks on 4 workers too) — and requires the entire
 // Result to be bit-identical: components, mean, error history, and all
 // simulated-cluster metrics. This is the contract that lets the parallel
 // kernels change real wall-clock time without perturbing a single number in
@@ -30,7 +32,9 @@ func TestFitDeterministicUnderParallelism(t *testing.T) {
 		cfg := spca.Config{Algorithm: alg, Components: 4, MaxIter: 4}
 
 		parallel.SetSequential(true)
+		parallel.SetWorkers(1)
 		seq, err := spca.Fit(y, cfg)
+		parallel.SetWorkers(0)
 		parallel.SetSequential(false)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", alg, err)
